@@ -272,7 +272,7 @@ fn e2_consolidation() {
     println!("{}", t.render());
 
     // Sequential vs. parallel wall-clock per variant, recorded to
-    // BENCH_recon.json so CI can track the sharded reconciler's speedup.
+    // BENCH_recon.json so CI can track what the thread budget buys.
     let threads = ReconConfig::default().threads;
     let par_col = format!("{threads}-thread ms");
     let mut t = TextTable::new(&[
@@ -280,7 +280,6 @@ fn e2_consolidation() {
         "seq ms",
         par_col.as_str(),
         "speedup",
-        "shards",
         "memo hits",
     ]);
     let mut variants_json = Vec::new();
@@ -305,7 +304,6 @@ fn e2_consolidation() {
             format!("{seq_ms:.1}"),
             format!("{par_ms:.1}"),
             format!("{speedup:.2}x"),
-            par.shards.to_string(),
             par.memo_hits.to_string(),
         ]);
         variants_json.push(serde_json::json!({
@@ -314,7 +312,6 @@ fn e2_consolidation() {
             "parallel_ms": par_ms,
             "speedup": speedup,
             "merges": par.merges,
-            "shards": par.shards,
             "memo_hits": par.memo_hits,
         }));
     }

@@ -337,8 +337,8 @@ impl SemexBuilder {
             ))
         };
 
-        // Reuse the reconciliation thread budget for the sharded index
-        // build; results are identical at any thread count.
+        // One thread budget drives both reconciliation's first scoring pass
+        // and the chunked index build; results are identical at any count.
         let index = SearchIndex::build_threaded(&store, self.config.recon.threads.max(1));
         let report = BuildReport {
             extraction,

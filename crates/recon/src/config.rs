@@ -77,10 +77,10 @@ pub struct ReconConfig {
     /// Neighbour-list cap when computing association evidence and
     /// propagating decisions (bounds worst-case fan-out).
     pub max_fanout: usize,
-    /// Thread budget for the parallel phases (pairwise scoring and the
-    /// per-shard propagation worklists); 1 = sequential. Any value
-    /// produces byte-identical clusters and merges. Defaults to the
-    /// machine's available parallelism.
+    /// Thread budget for the first scoring pass over the candidate pairs
+    /// (the propagation worklist itself is sequential); 1 = sequential.
+    /// Any value produces byte-identical clusters and merges. Defaults to
+    /// the machine's available parallelism.
     pub threads: usize,
     /// User feedback (the demo's merge-correction affordance): pairs the
     /// user asserted to denote the same entity. Seeded into the clustering

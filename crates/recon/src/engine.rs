@@ -1,11 +1,10 @@
 //! The reconciliation engine: dependency-graph propagation with reference
-//! enrichment over blocked candidate pairs, sharded across cores.
+//! enrichment over blocked candidate pairs.
 
 use crate::blocking::{self, BlockingStats};
 use crate::refs::{RefKind, RefTable};
 use crate::score::{organization_score, person_score, publication_score, venue_score, Pool};
-use crate::shard::{self, Shard};
-use crate::worklist::{run_shard, Oracle, ShardOutcome};
+use crate::worklist::{allowed, propagate, Oracle};
 use crate::{ReconConfig, UnionFind, Variant};
 use semex_model::names::assoc as an;
 use semex_store::{ObjectId, Store};
@@ -28,8 +27,9 @@ pub struct ReconReport {
     pub merges: usize,
     /// Worklist iterations (candidate evaluations, including re-runs).
     pub iterations: usize,
-    /// Independent worklist shards (0 for non-propagating variants, which
-    /// evaluate each candidate exactly once and need no partitioning).
+    /// Propagation worklists run: 1 for a propagating variant with at least
+    /// one candidate pair, else 0 (non-propagating variants evaluate each
+    /// candidate exactly once).
     pub shards: usize,
     /// Pooled-score memo hits: re-activated candidates whose clusters had
     /// not changed, skipping pooling and attribute scoring entirely.
@@ -87,10 +87,6 @@ fn run(
     let base = score_pairs(&table, &pairs, cfg.threads);
 
     let n = table.len();
-    let mut uf = UnionFind::new(n);
-    let mut iterations = 0usize;
-    let mut memo_hits = 0usize;
-    let mut shard_count = 0usize;
 
     // User feedback: resolve must-link and cannot-link pairs to reference
     // indices. Constraints naming non-reconcilable or unknown objects are
@@ -109,47 +105,22 @@ fn run(
         .iter()
         .filter_map(|&(a, b)| Some((ref_index(a)?, ref_index(b)?)))
         .collect();
-    // Seed must-link pairs into the global clustering. Sharded variants
-    // additionally seed them per shard (where member pooling happens); the
-    // global unions cover components with no candidate pairs at all.
-    for &(a, b) in &must_refs {
-        uf.union(a as usize, b as usize);
-    }
-    // A union of (a, b) is allowed iff it would not connect any
-    // cannot-link pair.
-    let allowed = |uf: &mut UnionFind, a: usize, b: usize, cannot: &[(u32, u32)]| -> bool {
-        if cannot.is_empty() {
-            return true;
-        }
-        let (ra, rb) = (uf.find(a), uf.find(b));
-        for &(x, y) in cannot {
-            let (rx, ry) = (uf.find(x as usize), uf.find(y as usize));
-            if (rx == ra && ry == rb) || (rx == rb && ry == ra) {
-                return false;
-            }
-        }
-        true
-    };
 
     let weights = channel_weights(store);
 
-    match variant {
+    let (mut uf, iterations, memo_hits, shards) = match variant {
         Variant::AttrOnly => {
-            for (ci, &(a, b)) in pairs.iter().enumerate() {
-                iterations += 1;
-                if base[ci] >= cfg.threshold && allowed(&mut uf, a as usize, b as usize, &cannot) {
-                    uf.union(a as usize, b as usize);
-                }
-            }
+            let uf = decide_once(n, &pairs, &must_refs, &cannot, cfg.threshold, |ci, _, _| {
+                base[ci]
+            });
+            (uf, pairs.len(), 0, 0)
         }
         Variant::Context => {
             // Static association evidence: a neighbour pair counts as
             // "matching" when its *attribute* score is conclusive — no
             // decisions feed back.
-            let mut pair_index: HashMap<(u32, u32), usize> = HashMap::new();
-            for (ci, &p) in pairs.iter().enumerate() {
-                pair_index.insert(p, ci);
-            }
+            let pair_index: HashMap<(u32, u32), usize> =
+                pairs.iter().enumerate().map(|(ci, &p)| (p, ci)).collect();
             let strong = |x: u32, y: u32| -> bool {
                 if x == y {
                     return true;
@@ -160,38 +131,12 @@ fn run(
                     .map(|&ci| base[ci] >= 0.9)
                     .unwrap_or(false)
             };
-            for (ci, &(a, b)) in pairs.iter().enumerate() {
-                iterations += 1;
-                let ev = evidence(&table, &weights, a, b, cfg, &strong);
-                let combined = combine(base[ci], ev, cfg);
-                if combined >= cfg.threshold && allowed(&mut uf, a as usize, b as usize, &cannot) {
-                    uf.union(a as usize, b as usize);
-                }
-            }
+            let uf = decide_once(n, &pairs, &must_refs, &cannot, cfg.threshold, |ci, a, b| {
+                combine(base[ci], evidence(&table, &weights, a, b, &strong), cfg)
+            });
+            (uf, pairs.len(), 0, 0)
         }
         Variant::Propagation | Variant::Full => {
-            // Partition into independent worklist shards: candidate edges,
-            // the evidence closure (every neighbour a pair's evidence can
-            // consult, i.e. both sides of every channel both endpoints
-            // populate), and must-link edges. See `shard` for why this
-            // closure makes shards fully independent.
-            let shards = shard::partition(n, &pairs, &must_refs, |a, b, sink| {
-                let ea = &table.entries[a as usize];
-                let eb = &table.entries[b as usize];
-                for (ch, na) in &ea.neighbors {
-                    let nb = eb.channel(*ch);
-                    if na.is_empty() || nb.is_empty() {
-                        continue;
-                    }
-                    for &x in na {
-                        sink(x);
-                    }
-                    for &y in nb {
-                        sink(y);
-                    }
-                }
-            });
-            shard_count = shards.len();
             let oracle = TableOracle {
                 table: &table,
                 weights: &weights,
@@ -200,18 +145,11 @@ fn run(
                 cfg,
                 enrich: variant.enriches(),
             };
-            let outcomes = run_shards(&shards, &pairs, &must_refs, &cannot, &oracle, cfg.threads);
-            for o in outcomes {
-                iterations += o.iterations;
-                memo_hits += o.memo_hits;
-                for cl in o.clusters {
-                    for &x in &cl[1..] {
-                        uf.union(cl[0] as usize, x as usize);
-                    }
-                }
-            }
+            let out = propagate(n, &pairs, &must_refs, &cannot, &oracle);
+            let shards = usize::from(!pairs.is_empty());
+            (out.uf, out.iterations, out.memo_hits, shards)
         }
-    }
+    };
 
     let elapsed = start.elapsed();
 
@@ -240,11 +178,34 @@ fn run(
         blocking: blocking_stats,
         merges,
         iterations,
-        shards: shard_count,
+        shards,
         memo_hits,
         elapsed,
         clusters,
     }
+}
+
+/// The non-propagating variants: seed the must-links, then evaluate each
+/// candidate exactly once, in order, merging those whose `score` clears the
+/// threshold unless a cannot-link forbids it.
+fn decide_once(
+    n: usize,
+    pairs: &[(u32, u32)],
+    must: &[(u32, u32)],
+    cannot: &[(u32, u32)],
+    threshold: f64,
+    score: impl Fn(usize, u32, u32) -> f64,
+) -> UnionFind {
+    let mut uf = UnionFind::new(n);
+    for &(a, b) in must {
+        uf.union(a as usize, b as usize);
+    }
+    for (ci, &(a, b)) in pairs.iter().enumerate() {
+        if score(ci, a, b) >= threshold && allowed(&mut uf, a as usize, b as usize, cannot) {
+            uf.union(a as usize, b as usize);
+        }
+    }
+    uf
 }
 
 /// The production [`Oracle`]: scores from the reference table, evidence
@@ -285,60 +246,6 @@ impl Oracle for TableOracle<'_> {
             sink(x);
         }
     }
-}
-
-/// Run every shard's worklist, across `threads` workers when it pays.
-/// Outcomes come back in shard order regardless of which worker ran what,
-/// so the caller's stitching is deterministic.
-fn run_shards<O: Oracle + Sync>(
-    shards: &[Shard],
-    pairs: &[(u32, u32)],
-    must: &[(u32, u32)],
-    cannot: &[(u32, u32)],
-    oracle: &O,
-    threads: usize,
-) -> Vec<ShardOutcome> {
-    if threads <= 1 || shards.len() <= 1 {
-        return shards
-            .iter()
-            .map(|s| run_shard(s, pairs, must, cannot, oracle))
-            .collect();
-    }
-    // Largest shards first: the biggest component dominates wall-clock, so
-    // it must start immediately, with small shards filling the tail.
-    let mut order: Vec<usize> = (0..shards.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(shards[i].pairs.len()));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let workers = threads.min(shards.len());
-    let mut slots: Vec<Option<ShardOutcome>> = Vec::new();
-    slots.resize_with(shards.len(), || None);
-    let per_worker: Vec<Vec<(usize, ShardOutcome)>> = std::thread::scope(|scope| {
-        let (order, next) = (&order, &next);
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(&si) = order.get(k) else { break };
-                        done.push((si, run_shard(&shards[si], pairs, must, cannot, oracle)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard workers do not panic"))
-            .collect()
-    });
-    for (si, outcome) in per_worker.into_iter().flatten() {
-        slots[si] = Some(outcome);
-    }
-    slots
-        .into_iter()
-        .map(|o| o.expect("every shard ran exactly once"))
-        .collect()
 }
 
 /// Combined score: attribute similarity lifted toward 1 by association
@@ -413,7 +320,6 @@ fn evidence(
     weights: &HashMap<u32, f64>,
     a: u32,
     b: u32,
-    _cfg: &ReconConfig,
     same: &dyn Fn(u32, u32) -> bool,
 ) -> f64 {
     let ea = &table.entries[a as usize];
@@ -788,27 +694,31 @@ mod tests {
         );
         assert_eq!(seq.merges, par.merges);
         assert_eq!(seq.clusters, par.clusters);
-        assert_eq!(seq.iterations, par.iterations, "same per-shard work");
-        assert_eq!(seq.shards, par.shards);
+        assert_eq!(seq.iterations, par.iterations, "same worklist");
+        assert_eq!(seq.memo_hits, par.memo_hits);
     }
 
     #[test]
-    fn sharded_runs_report_shards_and_memo() {
-        // Two independent families of duplicates → at least two shards.
+    fn shards_count_propagating_runs_with_candidates() {
+        // Two independent families of duplicates still run as one worklist.
         let bib = "@inproceedings{a, title={T1 alpha beta}, author={Michael Carey}, booktitle={V1}, year=2001}\n\
                    @inproceedings{b, title={T2 gamma delta}, author={Michael J. Carey}, booktitle={V1}, year=2002}\n\
                    @inproceedings{c, title={T3 epsilon zeta}, author={Laura Bennett}, booktitle={V2}, year=2003}\n\
                    @inproceedings{d, title={T4 eta theta}, author={Laura J. Bennett}, booktitle={V2}, year=2004}";
-        let mut st = store_with(bib, "", "");
-        let r = reconcile(&mut st, Variant::Full, &ReconConfig::sequential());
-        assert!(
-            r.shards >= 2,
-            "disjoint families shard independently: {r:?}"
-        );
-        let mut st2 = store_with(bib, "", "");
-        let attr = reconcile(&mut st2, Variant::AttrOnly, &ReconConfig::sequential());
-        assert_eq!(attr.shards, 0, "non-propagating variants do not shard");
-        assert_eq!(attr.memo_hits, 0);
+        for v in Variant::ALL {
+            let mut st = store_with(bib, "", "");
+            let r = reconcile(&mut st, v, &ReconConfig::sequential());
+            assert!(r.candidates > 0, "{v}: {r:?}");
+            assert_eq!(r.shards, usize::from(v.propagates()), "{v}: {r:?}");
+            if !v.enriches() {
+                assert_eq!(r.memo_hits, 0, "{v}: only pooled scores are memoized");
+            }
+        }
+        let mut empty = Store::with_builtin_model();
+        for v in Variant::ALL {
+            let r = reconcile(&mut empty, v, &ReconConfig::sequential());
+            assert_eq!(r.shards, 0, "{v}: no candidates, no worklist");
+        }
     }
 
     #[test]

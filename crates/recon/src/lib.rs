@@ -51,12 +51,12 @@
 //! assert_eq!(store.class_count(person), 1);
 //! ```
 
-//! The propagation fixed point is computed **sharded**: [`shard`] splits
-//! the reference graph into connected components closed under cluster
-//! sharing and evidence flow, each component's worklist runs independently
-//! (in parallel when [`ReconConfig::threads`] allows), and the per-shard
-//! clusterings are stitched back together — with the hard guarantee that
-//! any thread count produces byte-identical clusters and merges.
+//! The propagation fixed point is one worklist over the whole reference
+//! graph, with a pooled-score memo that skips rescoring clusters that have
+//! not changed since a candidate was last evaluated. The first scoring pass
+//! over the blocked candidate pairs is the parallel phase: it runs on
+//! [`ReconConfig::threads`] workers, and any thread count produces
+//! byte-identical clusters and merges.
 
 pub mod blocking;
 mod config;
@@ -64,7 +64,6 @@ mod engine;
 pub mod eval;
 mod refs;
 pub mod score;
-pub mod shard;
 mod union_find;
 mod worklist;
 
@@ -72,5 +71,4 @@ pub use config::{ReconConfig, Variant};
 pub use engine::{reconcile, reconcile_incremental, ReconReport};
 pub use eval::{pair_metrics, Metrics};
 pub use refs::{RefEntry, RefKind, RefTable};
-pub use shard::{partition, Shard};
 pub use union_find::UnionFind;

@@ -1,36 +1,25 @@
-//! The per-shard propagation worklist.
+//! The propagation worklist.
 //!
-//! [`run_shard`] replays the engine's dependency-graph fixed point over one
-//! [`Shard`](crate::shard::Shard): a FIFO of candidate evaluations with
-//! merge-triggered re-activation, a shard-local union-find and members
-//! table, and a pooled-attribute-score memo. Scoring is abstracted behind
-//! [`Oracle`] so the worklist can be driven by the real reference table or
-//! by a test double.
-//!
-//! Local state is index-mapped: shard references get dense local indices in
-//! ascending global order, and the local union-find mirrors exactly the
-//! global one restricted to the shard (same operation order, same sizes,
-//! same union-by-size tie-breaks), so a sequential run over shards in order
-//! is operation-for-operation the same computation the unsharded engine
-//! performed — and a parallel run over the same shards is byte-identical to
-//! the sequential one, because shards share no state at all.
+//! [`propagate`] computes the engine's dependency-graph fixed point: a FIFO
+//! of candidate evaluations with merge-triggered re-activation, one
+//! union-find and members table over the reference indices, and a
+//! pooled-attribute-score memo. Scoring is abstracted behind [`Oracle`] so
+//! the worklist can be driven by the real reference table or by a test
+//! double.
 
-use crate::shard::Shard;
 use crate::UnionFind;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Scoring and graph callbacks the worklist needs from the engine.
 ///
-/// `root_of` in [`Oracle::evidence`] maps a *global* reference index to an
-/// opaque cluster token: two references get the same token iff they are
-/// currently clustered together. Out-of-shard references (which, by the
-/// partition closure, evidence never actually consults) map to a singleton
-/// token derived from the reference itself.
+/// `root_of` in [`Oracle::evidence`] maps a reference index to an opaque
+/// cluster token: two references get the same token iff they are currently
+/// clustered together.
 pub(crate) trait Oracle {
-    /// Singleton-pool attribute score of candidate `ci` (global index).
+    /// Singleton-pool attribute score of candidate `ci`.
     fn base(&self, ci: u32) -> f64;
     /// Pooled attribute score of candidate `ci` over the two clusters'
-    /// member lists (global reference indices, in merge order).
+    /// member lists (reference indices, in merge order).
     fn pooled_attr(&self, ci: u32, ma: &[u32], mb: &[u32]) -> f64;
     /// Association evidence for the pair `(a, b)` under the clustering
     /// described by `root_of`.
@@ -41,105 +30,81 @@ pub(crate) trait Oracle {
     fn threshold(&self) -> f64;
     /// Whether clusters pool attributes (reference enrichment).
     fn enrich(&self) -> bool;
-    /// Every evidence neighbour of global reference `r`, any channel.
+    /// Every evidence neighbour of reference `r`, any channel.
     fn neighbors(&self, r: u32, sink: &mut dyn FnMut(u32));
 }
 
-/// What one shard's worklist produced.
-pub(crate) struct ShardOutcome {
+/// What the worklist produced.
+pub(crate) struct Outcome {
     /// Candidate evaluations, including re-runs.
     pub iterations: usize,
     /// Pooled-score memo hits (evaluations that skipped pooling + scoring).
     pub memo_hits: usize,
-    /// Multi-member clusters, as ascending global reference indices.
-    pub clusters: Vec<Vec<u32>>,
+    /// The final clustering of all references.
+    pub uf: UnionFind,
 }
 
-/// Token for a reference outside the shard: high bit tags it so it can
-/// never collide with a local root (which is bounded by the shard size).
-fn foreign_token(g: u32) -> u64 {
-    (1u64 << 32) | g as u64
+/// A union of `a` and `b` is allowed iff it would not connect any
+/// cannot-link pair.
+pub(crate) fn allowed(uf: &mut UnionFind, a: usize, b: usize, cannot: &[(u32, u32)]) -> bool {
+    if cannot.is_empty() {
+        return true;
+    }
+    let (ra, rb) = (uf.find(a), uf.find(b));
+    for &(x, y) in cannot {
+        let (rx, ry) = (uf.find(x as usize), uf.find(y as usize));
+        if (rx == ra && ry == rb) || (rx == rb && ry == ra) {
+            return false;
+        }
+    }
+    true
 }
 
-/// Run the propagation worklist over one shard. `pairs` is the global
-/// candidate list (the shard selects into it); `must` and `cannot` are the
-/// resolved global constraint pairs — pairs not fully inside the shard are
-/// ignored (the partition puts both endpoints of every effective constraint
-/// in the same component; a cannot-link spanning two shards can never veto
-/// a merge, since merges never cross shards).
-pub(crate) fn run_shard<O: Oracle>(
-    shard: &Shard,
+/// Union the clusters of `a` and `b` (which must differ) and append the
+/// loser's members to the winner's list; returns the new root.
+fn join(uf: &mut UnionFind, members: &mut [Vec<u32>], a: usize, b: usize) -> usize {
+    let (ra, rb) = (uf.find(a), uf.find(b));
+    uf.union(ra, rb);
+    let root = uf.find(ra);
+    let other = if root == ra { rb } else { ra };
+    let moved = std::mem::take(&mut members[other]);
+    members[root].extend(moved);
+    root
+}
+
+/// Run the propagation worklist over `n` references and the candidate
+/// `pairs`. `must` and `cannot` are resolved constraint pairs: must-links
+/// are seeded in order before any evaluation, cannot-links veto merges.
+pub(crate) fn propagate<O: Oracle>(
+    n: usize,
     pairs: &[(u32, u32)],
     must: &[(u32, u32)],
     cannot: &[(u32, u32)],
     oracle: &O,
-) -> ShardOutcome {
-    let m = shard.refs.len();
-    let k = shard.pairs.len();
-    let pos: HashMap<u32, u32> = shard
-        .refs
-        .iter()
-        .enumerate()
-        .map(|(i, &g)| (g, i as u32))
-        .collect();
-    let local = |g: u32| -> Option<usize> { pos.get(&g).map(|&l| l as usize) };
-
-    let mut uf = UnionFind::new(m);
-    // Members hold *global* indices so pooled scoring needs no translation;
-    // merge order (root keeps its list, loser's list is appended) matches
-    // the unsharded engine exactly.
-    let mut members: Vec<Vec<u32>> = shard.refs.iter().map(|&g| vec![g]).collect();
+) -> Outcome {
+    let k = pairs.len();
+    let mut uf = UnionFind::new(n);
+    let mut members: Vec<Vec<u32>> = (0..n as u32).map(|r| vec![r]).collect();
 
     // Cluster-version counters for the memo: bumped whenever a cluster's
     // member list changes, so a memoized score is valid iff both endpoint
     // roots still carry the version it was computed under.
-    let mut version: Vec<u32> = vec![0; m];
+    let mut version: Vec<u32> = vec![0; n];
     let mut next_version: u32 = 0;
 
-    // Seed must-link pairs in configuration order, replicating the global
-    // engine's members motion.
-    for &(ga, gb) in must {
-        let (Some(la), Some(lb)) = (local(ga), local(gb)) else {
-            continue;
-        };
-        let (ra, rb) = (uf.find(la), uf.find(lb));
-        if ra != rb {
-            uf.union(ra, rb);
-            let root = uf.find(ra);
-            let other = if root == ra { rb } else { ra };
-            let moved = std::mem::take(&mut members[other]);
-            members[root].extend(moved);
+    for &(a, b) in must {
+        if !uf.same(a as usize, b as usize) {
+            let root = join(&mut uf, &mut members, a as usize, b as usize);
             next_version += 1;
             version[root] = next_version;
         }
     }
 
-    // Constraint pairs with both endpoints in the shard, as local indices.
-    let cannot_local: Vec<(usize, usize)> = cannot
-        .iter()
-        .filter_map(|&(x, y)| Some((local(x)?, local(y)?)))
-        .collect();
-    let allowed = |uf: &mut UnionFind, a: usize, b: usize| -> bool {
-        if cannot_local.is_empty() {
-            return true;
-        }
-        let (ra, rb) = (uf.find(a), uf.find(b));
-        for &(x, y) in &cannot_local {
-            let (rx, ry) = (uf.find(x), uf.find(y));
-            if (rx == ra && ry == rb) || (rx == rb && ry == ra) {
-                return false;
-            }
-        }
-        true
-    };
-
-    // Local incidence: shard ref → shard-local candidate queue ids, in
-    // ascending global candidate order (shard.pairs is ascending).
-    let mut incident: Vec<Vec<u32>> = vec![Vec::new(); m];
-    for (qi, &ci) in shard.pairs.iter().enumerate() {
-        let (a, b) = pairs[ci as usize];
-        incident[local(a).expect("candidate endpoint in shard")].push(qi as u32);
-        incident[local(b).expect("candidate endpoint in shard")].push(qi as u32);
+    // Incidence: reference → candidate indices, ascending.
+    let mut incident: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for (ci, &(a, b)) in pairs.iter().enumerate() {
+        incident[a as usize].push(ci as u32);
+        incident[b as usize].push(ci as u32);
     }
 
     let mut queue: VecDeque<u32> = (0..k as u32).collect();
@@ -152,72 +117,59 @@ pub(crate) fn run_shard<O: Oracle>(
     let mut iterations = 0usize;
     let mut memo_hits = 0usize;
 
-    while let Some(qi) = queue.pop_front() {
-        let qi = qi as usize;
-        queued[qi] = false;
-        if decided[qi] {
+    while let Some(ci) = queue.pop_front() {
+        let i = ci as usize;
+        queued[i] = false;
+        if decided[i] {
             continue;
         }
         iterations += 1;
         if iterations > cap {
             break; // safety valve; monotone merging makes this unreachable in practice
         }
-        let ci = shard.pairs[qi];
-        let (a, b) = pairs[ci as usize];
-        let (la, lb) = (
-            local(a).expect("candidate endpoint in shard"),
-            local(b).expect("candidate endpoint in shard"),
-        );
-        if uf.same(la, lb) {
-            decided[qi] = true;
+        let (a, b) = pairs[i];
+        let (ia, ib) = (a as usize, b as usize);
+        if uf.same(ia, ib) {
+            decided[i] = true;
             continue;
         }
         let attr = if oracle.enrich() {
-            let (ra, rb) = (uf.find(la), uf.find(lb));
+            let (ra, rb) = (uf.find(ia), uf.find(ib));
             let key = (ra as u32, version[ra], rb as u32, version[rb]);
-            match memo[qi] {
+            match memo[i] {
                 Some((ka, va, kb, vb, s)) if (ka, va, kb, vb) == key => {
                     memo_hits += 1;
                     s
                 }
                 _ => {
                     let s = oracle.pooled_attr(ci, &members[ra], &members[rb]);
-                    memo[qi] = Some((key.0, key.1, key.2, key.3, s));
+                    memo[i] = Some((key.0, key.1, key.2, key.3, s));
                     s
                 }
             }
         } else {
             oracle.base(ci)
         };
-        let ev = oracle.evidence(a, b, &mut |g| match pos.get(&g) {
-            Some(&lg) => uf.find_const(lg as usize) as u64,
-            None => foreign_token(g),
-        });
+        let ev = oracle.evidence(a, b, &mut |r| uf.find_const(r as usize) as u64);
         let combined = oracle.combine(attr, ev);
         if combined < oracle.threshold() {
             continue; // may be re-activated by a future merge
         }
-        if !allowed(&mut uf, la, lb) {
-            decided[qi] = true; // permanently vetoed
+        if !allowed(&mut uf, ia, ib, cannot) {
+            decided[i] = true; // permanently vetoed
             continue;
         }
-        // Merge the clusters.
-        let (ra, rb) = (uf.find(la), uf.find(lb));
-        uf.union(la, lb);
-        let root = uf.find(la);
-        let other = if root == ra { rb } else { ra };
-        let moved = std::mem::take(&mut members[other]);
-        members[root].extend(moved);
+        let root = join(&mut uf, &mut members, ia, ib);
         next_version += 1;
         version[root] = next_version;
-        decided[qi] = true;
+        decided[i] = true;
 
         // Re-activate candidates whose evidence (or pool) changed:
         // everything incident to the merged references' neighbours, and —
         // under enrichment — to the merged cluster itself.
         let mut touched: Vec<u32> = Vec::new();
         for &r in [a, b].iter() {
-            oracle.neighbors(r, &mut |g| touched.push(g));
+            oracle.neighbors(r, &mut |x| touched.push(x));
         }
         if oracle.enrich() {
             touched.extend(members[root].iter().copied());
@@ -225,10 +177,7 @@ pub(crate) fn run_shard<O: Oracle>(
         touched.sort_unstable();
         touched.dedup();
         for t in touched {
-            let Some(lt) = local(t) else {
-                continue; // cross-shard neighbour: its shard owns those pairs
-            };
-            for &cid in &incident[lt] {
+            for &cid in &incident[t as usize] {
                 if !queued[cid as usize] && !decided[cid as usize] {
                     queued[cid as usize] = true;
                     queue.push_back(cid);
@@ -237,22 +186,17 @@ pub(crate) fn run_shard<O: Oracle>(
         }
     }
 
-    let clusters = uf
-        .clusters()
-        .into_iter()
-        .filter(|c| c.len() >= 2)
-        .map(|c| c.into_iter().map(|li| shard.refs[li]).collect())
-        .collect();
-    ShardOutcome {
+    Outcome {
         iterations,
         memo_hits,
-        clusters,
+        uf,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// An oracle over an explicit score table and neighbour graph. When
     /// `evidence_if_same` maps a candidate pair to a reference pair, the
@@ -308,11 +252,13 @@ mod tests {
         }
     }
 
-    fn shard_over(n: usize, pairs: &[(u32, u32)]) -> Shard {
-        Shard {
-            refs: (0..n as u32).collect(),
-            pairs: (0..pairs.len() as u32).collect(),
-        }
+    /// Multi-member clusters of a run, ascending.
+    fn clusters(out: &mut Outcome) -> Vec<Vec<usize>> {
+        out.uf
+            .clusters()
+            .into_iter()
+            .filter(|c| c.len() >= 2)
+            .collect()
     }
 
     #[test]
@@ -320,8 +266,8 @@ mod tests {
         // 0-1 conclusive, 1-2 conclusive: one cluster of three.
         let pairs = [(0, 1), (1, 2)];
         let oracle = FixedOracle::plain(vec![0.9, 0.9], vec![vec![], vec![], vec![]], false);
-        let out = run_shard(&shard_over(3, &pairs), &pairs, &[], &[], &oracle);
-        assert_eq!(out.clusters, vec![vec![0, 1, 2]]);
+        let mut out = propagate(3, &pairs, &[], &[], &oracle);
+        assert_eq!(clusters(&mut out), vec![vec![0, 1, 2]]);
         assert_eq!(out.iterations, 2);
     }
 
@@ -329,8 +275,8 @@ mod tests {
     fn below_threshold_pairs_stay_apart() {
         let pairs = [(0, 1)];
         let oracle = FixedOracle::plain(vec![0.5], vec![vec![], vec![]], false);
-        let out = run_shard(&shard_over(2, &pairs), &pairs, &[], &[], &oracle);
-        assert!(out.clusters.is_empty());
+        let mut out = propagate(2, &pairs, &[], &[], &oracle);
+        assert!(clusters(&mut out).is_empty());
     }
 
     #[test]
@@ -344,8 +290,8 @@ mod tests {
             false,
         );
         oracle.evidence_if_same.insert((0, 1), (2, 3));
-        let out = run_shard(&shard_over(4, &pairs), &pairs, &[], &[], &oracle);
-        assert_eq!(out.clusters, vec![vec![0, 1], vec![2, 3]]);
+        let mut out = propagate(4, &pairs, &[], &[], &oracle);
+        assert_eq!(clusters(&mut out), vec![vec![0, 1], vec![2, 3]]);
         assert!(out.iterations >= 3, "pair (0,1) must be re-evaluated");
     }
 
@@ -354,15 +300,9 @@ mod tests {
         let pairs = [(0, 1), (2, 3)];
         let oracle =
             FixedOracle::plain(vec![0.9, 0.1], vec![vec![], vec![], vec![], vec![]], false);
-        let out = run_shard(
-            &shard_over(4, &pairs),
-            &pairs,
-            &[(2, 3)],
-            &[(0, 1)],
-            &oracle,
-        );
+        let mut out = propagate(4, &pairs, &[(2, 3)], &[(0, 1)], &oracle);
         // 0-1 scores high but is vetoed; 2-3 scores low but is seeded.
-        assert_eq!(out.clusters, vec![vec![2, 3]]);
+        assert_eq!(clusters(&mut out), vec![vec![2, 3]]);
     }
 
     #[test]
@@ -377,24 +317,9 @@ mod tests {
             vec![vec![], vec![], vec![0], vec![]],
             true,
         );
-        let out = run_shard(&shard_over(4, &pairs), &pairs, &[], &[], &oracle);
-        assert_eq!(out.clusters, vec![vec![2, 3]]);
+        let mut out = propagate(4, &pairs, &[], &[], &oracle);
+        assert_eq!(clusters(&mut out), vec![vec![2, 3]]);
         assert!(out.iterations >= 3, "pair (0,1) re-evaluated");
         assert_eq!(out.memo_hits, 1, "unchanged clusters skip rescoring");
-    }
-
-    #[test]
-    fn out_of_shard_constraints_are_ignored() {
-        let pairs = [(0, 1)];
-        let oracle = FixedOracle::plain(vec![0.9], vec![vec![], vec![]], false);
-        // Constraints naming references 7/8 (not in the shard) are no-ops.
-        let out = run_shard(
-            &shard_over(2, &pairs),
-            &pairs,
-            &[(7, 8)],
-            &[(0, 7)],
-            &oracle,
-        );
-        assert_eq!(out.clusters, vec![vec![0, 1]]);
     }
 }

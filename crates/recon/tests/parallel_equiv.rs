@@ -1,11 +1,11 @@
-//! Property test: sharded-parallel reconciliation is **byte-identical** to
-//! sequential execution — for every [`Variant`], on randomized corpora,
+//! Property test: reconciliation at any thread count is **byte-identical**
+//! to sequential execution — for every [`Variant`], on randomized corpora,
 //! with randomized must-link / cannot-link feedback.
 //!
 //! This is the hard guarantee behind [`semex_recon::ReconConfig::threads`]:
-//! partitioning the reference graph into closed shards and running each
-//! shard's worklist on its own thread must never change a single merge,
-//! cluster, or even the iteration count.
+//! splitting the first scoring pass across workers must never change a
+//! single merge, cluster, or even the iteration count, and must-links and
+//! cannot-links must be honoured the same way at every thread count.
 
 use proptest::prelude::*;
 use semex_extract::{bibtex::extract_bibtex, email::extract_mbox, ExtractContext};
@@ -48,7 +48,7 @@ type MailSpec = ((usize, usize), (usize, usize), usize);
 
 /// Render a random corpus as one bibtex string plus individual messages.
 /// Sampling names and title words from small pools guarantees candidate
-/// pairs, shared-evidence links and multi-reference shards.
+/// pairs, shared-evidence links and multi-reference clusters.
 fn render(pubs: &[PubSpec], mails: &[MailSpec]) -> (String, Vec<String>) {
     let mut bib = String::new();
     for (i, (authors, title, venue, year)) in pubs.iter().enumerate() {

@@ -28,6 +28,11 @@ echo "    stores and indexes round-trip byte-identically)"
 cargo test -q -p semex-store --test binary_fuzz_prop
 cargo test -q -p semex-index --test sidecar_fuzz_prop
 
+echo "==> reconciliation exactness (worklist unit tests, any-thread-count"
+echo "    equivalence proptest, and the golden Full runs on tiny corpora)"
+cargo test -q -p semex-recon
+cargo test -q --test recon_golden
+
 echo "==> index equivalence suite (parallel/incremental/pruned vs oracle)"
 cargo test -q -p semex-index --test index_equiv_prop
 cargo test -q -p semex-index --lib search::tests

@@ -5,9 +5,9 @@
 //! semex build <dir> --durable -o space.journal/   ...into a journal directory instead
 //! semex demo  -o space.json [--seed N] [--scale F] [--durable]   build from a generated demo corpus
 //!
-//! `build` and `demo` accept `--recon-threads N` to pin the reconciliation
-//! thread budget (defaults to the machine's parallelism; results are
-//! identical at any setting).
+//! `build` and `demo` accept `--recon-threads N` to pin the thread budget
+//! of reconciliation's first scoring pass and of the index build (defaults
+//! to the machine's parallelism; results are identical at any setting).
 //! semex journal-compact <space.journal> [--format json|binary]
 //!                                        fold a journal into a fresh snapshot
 //!                                        (--format migrates the snapshot
