@@ -38,12 +38,21 @@ fn bench_variants(c: &mut Criterion) {
 fn bench_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("recon_scaling");
     group.sample_size(10);
-    for scale in [0.5, 1.0, 2.0] {
-        let store = bench_corpus(scale);
-        let refs = RefTable::build(&store, 64).len();
+    let mut stores: Vec<(&str, semex_store::Store)> = [0.5, 1.0, 2.0]
+        .into_iter()
+        .map(|scale| ("", bench_corpus(scale)))
+        .collect();
+    // The paper-sized corpus of experiment E2 and of perfbench's
+    // `serve_mixed` build.
+    stores.push((
+        "paper-",
+        extract_corpus(&generate_personal(&CorpusConfig::default())),
+    ));
+    for (label, store) in &stores {
+        let refs = RefTable::build(store, 64).len();
         group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{refs}refs")),
-            &store,
+            BenchmarkId::from_parameter(format!("{label}{refs}refs")),
+            store,
             |b, store| {
                 b.iter(|| {
                     let mut s = store.clone();

@@ -271,8 +271,9 @@ fn e2_consolidation() {
     }
     println!("{}", t.render());
 
-    // Sequential vs. parallel wall-clock per variant, recorded to
-    // BENCH_recon.json so CI can track what the thread budget buys.
+    // Sequential vs. parallel wall-clock per variant, and the sequential
+    // runs' per-phase split, recorded to BENCH_recon.json so a change can
+    // name the phase that moved.
     let threads = ReconConfig::default().threads;
     let par_col = format!("{threads}-thread ms");
     let mut t = TextTable::new(&[
@@ -282,6 +283,23 @@ fn e2_consolidation() {
         "speedup",
         "memo hits",
     ]);
+    let mut phase_table = TextTable::new(&[
+        "variant (seq)",
+        "blocking ms",
+        "first pass ms",
+        "propagation ms",
+        "apply ms",
+        "total ms",
+    ]);
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    let phases_json = |p: &semex_recon::ReconPhases| {
+        serde_json::json!({
+            "blocking_ms": ms(p.blocking),
+            "first_pass_ms": ms(p.first_pass),
+            "propagation_ms": ms(p.propagation),
+            "apply_ms": ms(p.apply),
+        })
+    };
     let mut variants_json = Vec::new();
     let mut full_speedup = 0.0f64;
     for v in Variant::ALL {
@@ -306,6 +324,15 @@ fn e2_consolidation() {
             format!("{speedup:.2}x"),
             par.memo_hits.to_string(),
         ]);
+        let p = &seq.phases;
+        phase_table.row(vec![
+            v.to_string(),
+            format!("{:.1}", ms(p.blocking)),
+            format!("{:.1}", ms(p.first_pass)),
+            format!("{:.1}", ms(p.propagation)),
+            format!("{:.1}", ms(p.apply)),
+            format!("{:.1}", ms(p.total())),
+        ]);
         variants_json.push(serde_json::json!({
             "variant": v.name(),
             "sequential_ms": seq_ms,
@@ -313,9 +340,12 @@ fn e2_consolidation() {
             "speedup": speedup,
             "merges": par.merges,
             "memo_hits": par.memo_hits,
+            "sequential_phases": phases_json(&seq.phases),
+            "parallel_phases": phases_json(&par.phases),
         }));
     }
     println!("{}", t.render());
+    println!("{}", phase_table.render());
     let bench = serde_json::json!({
         "experiment": "e2-consolidation",
         "refs": report.refs,

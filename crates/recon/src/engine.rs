@@ -2,6 +2,7 @@
 //! enrichment over blocked candidate pairs.
 
 use crate::blocking::{self, BlockingStats};
+use crate::memo::PersonMemo;
 use crate::refs::{RefKind, RefTable};
 use crate::score::{organization_score, person_score, publication_score, venue_score, Pool};
 use crate::worklist::{allowed, propagate, Oracle};
@@ -36,8 +37,32 @@ pub struct ReconReport {
     pub memo_hits: usize,
     /// Wall-clock time of the reconciliation (excluding store mutation).
     pub elapsed: Duration,
+    /// Wall-clock time per phase, store mutation included.
+    pub phases: ReconPhases,
     /// Clusters with more than one member, as store object ids.
     pub clusters: Vec<Vec<ObjectId>>,
+}
+
+/// Wall-clock time of each phase of a reconciliation run. The phases run
+/// one after the other, so their sum is at most the run's wall-clock time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReconPhases {
+    /// Reference-table build, blocking and constraint resolution.
+    pub blocking: Duration,
+    /// The first scoring pass over singleton pools (the threaded phase).
+    pub first_pass: Duration,
+    /// The propagation worklist, or the single decision pass of the
+    /// non-propagating variants.
+    pub propagation: Duration,
+    /// Applying the merges to the store.
+    pub apply: Duration,
+}
+
+impl ReconPhases {
+    /// Sum of the phases.
+    pub fn total(&self) -> Duration {
+        self.blocking + self.first_pass + self.propagation + self.apply
+    }
 }
 
 /// Run reconciliation on a store and apply the resulting merges.
@@ -82,10 +107,6 @@ fn run(
         pairs.retain(|(a, b)| new_refs.contains(a) || new_refs.contains(b));
     }
     let blocking_stats = BlockingStats::compute(&table, &pairs);
-
-    // Base attribute scores over singleton pools.
-    let base = score_pairs(&table, &pairs, cfg.threads);
-
     let n = table.len();
 
     // User feedback: resolve must-link and cannot-link pairs to reference
@@ -107,7 +128,17 @@ fn run(
         .collect();
 
     let weights = channel_weights(store);
+    let mut phases = ReconPhases {
+        blocking: start.elapsed(),
+        ..ReconPhases::default()
+    };
 
+    // Base attribute scores over singleton pools.
+    let mark = Instant::now();
+    let base = score_pairs(&table, &pairs, cfg.threads);
+    phases.first_pass = mark.elapsed();
+
+    let mark = Instant::now();
     let (mut uf, iterations, memo_hits, shards) = match variant {
         Variant::AttrOnly => {
             let uf = decide_once(n, &pairs, &must_refs, &cannot, cfg.threshold, |ci, _, _| {
@@ -137,23 +168,25 @@ fn run(
             (uf, pairs.len(), 0, 0)
         }
         Variant::Propagation | Variant::Full => {
-            let oracle = TableOracle {
+            let mut oracle = TableOracle {
                 table: &table,
                 weights: &weights,
                 base: &base,
                 pairs: &pairs,
                 cfg,
                 enrich: variant.enriches(),
+                persons: None,
             };
-            let out = propagate(n, &pairs, &must_refs, &cannot, &oracle);
+            let out = propagate(n, &pairs, &must_refs, &cannot, &mut oracle);
             let shards = usize::from(!pairs.is_empty());
             (out.uf, out.iterations, out.memo_hits, shards)
         }
     };
-
+    phases.propagation = mark.elapsed();
     let elapsed = start.elapsed();
 
     // Materialize clusters and apply merges to the store.
+    let mark = Instant::now();
     let mut clusters = Vec::new();
     let mut merge_pairs: Vec<(ObjectId, ObjectId)> = Vec::new();
     for cluster in uf.clusters() {
@@ -170,6 +203,7 @@ fn run(
     let merges = store
         .merge_all(&merge_pairs)
         .expect("reconciliation merges are class-consistent by construction");
+    phases.apply = mark.elapsed();
 
     ReconReport {
         variant,
@@ -181,6 +215,7 @@ fn run(
         shards,
         memo_hits,
         elapsed,
+        phases,
         clusters,
     }
 }
@@ -217,17 +252,25 @@ struct TableOracle<'a> {
     pairs: &'a [(u32, u32)],
     cfg: &'a ReconConfig,
     enrich: bool,
+    /// The person-kernel memo, built by the first pooled person scoring.
+    persons: Option<PersonMemo<'a>>,
 }
 
 impl Oracle for TableOracle<'_> {
     fn base(&self, ci: u32) -> f64 {
         self.base[ci as usize]
     }
-    fn pooled_attr(&self, ci: u32, ma: &[u32], mb: &[u32]) -> f64 {
+    fn pooled_attr(&mut self, ci: u32, ma: &[u32], mb: &[u32]) -> f64 {
         let (a, _) = self.pairs[ci as usize];
+        let kind = self.table.entries[a as usize].kind;
+        if kind == RefKind::Person {
+            let table = self.table;
+            let memo = self.persons.get_or_insert_with(|| PersonMemo::new(table));
+            return memo.pooled_score(ma, mb);
+        }
         let pa = pooled(self.table, ma);
         let pb = pooled(self.table, mb);
-        attr_score(self.table.entries[a as usize].kind, &pa, &pb)
+        attr_score(kind, &pa, &pb)
     }
     fn evidence(&self, a: u32, b: u32, root_of: &mut dyn FnMut(u32) -> u64) -> f64 {
         evidence_tokens(self.table, self.weights, a, b, root_of)
@@ -395,51 +438,66 @@ fn channel_weights(store: &Store) -> HashMap<u32, f64> {
     w
 }
 
-/// Pool the attribute values of a cluster's members (capped per field so a
-/// runaway cluster cannot make scoring quadratic).
+/// Per-field cap on a cluster's pooled values, so a runaway cluster cannot
+/// make scoring quadratic.
+pub(crate) const POOL_CAP: usize = 12;
+
+/// Pool the attribute values of a cluster's members: the first
+/// [`POOL_CAP`] values of each field in member order, then repeats dropped.
+/// Every comparator folds its value pairs with a max or an "any", so a
+/// repeat adds nothing; it still counts towards the cap, which keeps the
+/// admitted values those of the plain capped pool. Years keep their
+/// repeats, because publication scoring reads the first one. Person
+/// clusters are scored through [`PersonMemo`] instead, so names carry no
+/// parses here.
 fn pooled<'a>(table: &'a RefTable, members: &[u32]) -> Pool<'a> {
-    const CAP: usize = 12;
     let mut p = Pool::default();
     for &m in members {
         let e = &table.entries[m as usize];
-        // Non-person kinds have no parse cache; keep the vectors parallel
-        // for persons and names-only for everything else.
-        if e.parsed_names.len() == e.names.len() {
-            for (v, parsed) in e.names.iter().zip(&e.parsed_names) {
-                if p.names.len() < CAP {
-                    p.names.push(v.as_str());
-                    p.parsed_names.push(parsed);
-                }
-            }
-        } else {
-            for v in &e.names {
-                if p.names.len() < CAP {
-                    p.names.push(v.as_str());
-                }
+        for v in &e.names {
+            if p.names.len() < POOL_CAP {
+                p.names.push(v.as_str());
             }
         }
         for v in &e.emails {
-            if p.emails.len() < CAP {
+            if p.emails.len() < POOL_CAP {
                 p.emails.push(v.as_str());
             }
         }
         for v in &e.titles {
-            if p.titles.len() < CAP {
+            if p.titles.len() < POOL_CAP {
                 p.titles.push(v.as_str());
             }
         }
         for v in &e.abbrevs {
-            if p.abbrevs.len() < CAP {
+            if p.abbrevs.len() < POOL_CAP {
                 p.abbrevs.push(v.as_str());
             }
         }
         for &y in &e.years {
-            if p.years.len() < CAP {
+            if p.years.len() < POOL_CAP {
                 p.years.to_mut().push(y);
             }
         }
     }
+    drop_repeats(&mut p.names);
+    drop_repeats(&mut p.emails);
+    drop_repeats(&mut p.titles);
+    drop_repeats(&mut p.abbrevs);
     p
+}
+
+/// Drop repeated values, keeping each one's first occurrence, in order.
+/// Pools hold at most [`POOL_CAP`] values, so the quadratic scan is cheap.
+pub(crate) fn drop_repeats<T: PartialEq>(v: &mut Vec<T>) {
+    let mut kept = 0;
+    for i in 0..v.len() {
+        if !v[..kept].contains(&v[i]) {
+            v.swap(kept, i);
+            kept += 1;
+        }
+    }
+    v.truncate(kept);
 }
 
 /// Singleton pool of one reference — every field borrows from the table.
@@ -768,6 +826,57 @@ mod tests {
         };
         let r = reconcile(&mut st, Variant::Full, &cfg);
         assert_eq!(r.merges, 0);
+    }
+
+    #[test]
+    fn pooled_drops_repeats_after_the_cap_and_keeps_years() {
+        // Raw names N0 N0 N1 N1 N2 N2 N0 N3 N1 N4 N2 N5 | N0 N6 N1 N7: the
+        // cap admits the first twelve, of which six are distinct. Dropping
+        // repeats first would admit N6 and N7 as well.
+        let entries = (0..8)
+            .map(|i| crate::RefEntry {
+                names: vec![format!("N{}", i % 3), format!("N{i}")],
+                titles: vec!["Same title".to_owned()],
+                years: vec![2000 + i64::from(i % 2 == 1), 2000],
+                ..Default::default()
+            })
+            .collect();
+        let table = RefTable {
+            entries,
+            index_of: HashMap::new(),
+        };
+        let members: Vec<u32> = (0..8).collect();
+        let p = pooled(&table, &members);
+        assert_eq!(p.names, ["N0", "N1", "N2", "N3", "N4", "N5"]);
+        assert_eq!(p.titles, ["Same title"]);
+        // Years keep their repeats and order, capped at twelve.
+        let raw: Vec<i64> = table.entries.iter().flat_map(|e| e.years.clone()).collect();
+        assert_eq!(*p.years, raw[..POOL_CAP]);
+    }
+
+    #[test]
+    fn phases_are_timed_and_fit_in_the_run() {
+        let bib = "@inproceedings{a, title={T1 alpha beta}, author={Michael Carey}, booktitle={V1}, year=2001}\n\
+                   @inproceedings{b, title={T2 gamma delta}, author={Michael J. Carey}, booktitle={V1}, year=2002}";
+        let mut st = store_with(bib, "", "");
+        let wall = Instant::now();
+        let r = reconcile(&mut st, Variant::Full, &ReconConfig::sequential());
+        let wall = wall.elapsed();
+        let p = r.phases;
+        assert!(r.merges > 0, "{r:?}");
+        for (phase, t) in [
+            ("blocking", p.blocking),
+            ("first pass", p.first_pass),
+            ("propagation", p.propagation),
+            ("apply", p.apply),
+        ] {
+            assert!(t > Duration::ZERO, "{phase} not timed: {p:?}");
+        }
+        assert!(
+            p.blocking + p.first_pass + p.propagation <= r.elapsed,
+            "{p:?}"
+        );
+        assert!(p.total() <= wall, "{p:?} vs {wall:?}");
     }
 
     #[test]

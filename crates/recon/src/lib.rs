@@ -53,8 +53,11 @@
 
 //! The propagation fixed point is one worklist over the whole reference
 //! graph, with a pooled-score memo that skips rescoring clusters that have
-//! not changed since a candidate was last evaluated. The first scoring pass
-//! over the blocked candidate pairs is the parallel phase: it runs on
+//! not changed since a candidate was last evaluated. When a pooled person
+//! score is computed, a run-scoped memo over interned names and e-mails
+//! answers every comparator pair it has seen before, so each distinct pair
+//! is compared once per run. The first scoring pass over the blocked
+//! candidate pairs is the parallel phase: it runs on
 //! [`ReconConfig::threads`] workers, and any thread count produces
 //! byte-identical clusters and merges.
 
@@ -62,13 +65,14 @@ pub mod blocking;
 mod config;
 mod engine;
 pub mod eval;
+mod memo;
 mod refs;
 pub mod score;
 mod union_find;
 mod worklist;
 
 pub use config::{ReconConfig, Variant};
-pub use engine::{reconcile, reconcile_incremental, ReconReport};
+pub use engine::{reconcile, reconcile_incremental, ReconPhases, ReconReport};
 pub use eval::{pair_metrics, Metrics};
 pub use refs::{RefEntry, RefKind, RefTable};
 pub use union_find::UnionFind;

@@ -57,22 +57,11 @@ enum ParsedView<'p> {
 }
 
 impl ParsedView<'_> {
-    fn len(&self) -> usize {
-        match self {
-            ParsedView::Cached(s) => s.len(),
-            ParsedView::Owned(v) => v.len(),
-        }
-    }
-
     fn get(&self, i: usize) -> &PersonName {
         match self {
             ParsedView::Cached(s) => s[i],
             ParsedView::Owned(v) => &v[i],
         }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &PersonName> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
     }
 }
 
@@ -92,14 +81,119 @@ fn parsed_views<'p>(pool: &'p Pool<'_>) -> ParsedView<'p> {
 /// threshold — ambiguous on purpose); an e-mail plausibly derived from the
 /// other side's name ⇒ 0.74. Incompatible names never score above 0.4.
 pub fn person_score(a: &Pool<'_>, b: &Pool<'_>) -> f64 {
+    let mut kernels = PoolKernels {
+        a,
+        b,
+        parsed_a: parsed_views(a),
+        parsed_b: parsed_views(b),
+    };
+    person_fold(
+        &mut kernels,
+        (a.names.len(), b.names.len()),
+        (a.emails.len(), b.emails.len()),
+    )
+}
+
+/// What comparing one person name with another contributes to
+/// [`person_score`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct NamePair {
+    /// The name-channel score of the pair.
+    pub score: f64,
+    /// Whether the names are compatible (could denote one person).
+    pub compatible: bool,
+    /// Whether the names rule out one person (negative evidence).
+    pub contradiction: bool,
+}
+
+/// Compare two person names, raw and parsed.
+///
+/// Name evidence comes with *negative* evidence: two spelt-out given names
+/// that disagree (Maria vs. Michael) on compatible family names contradict
+/// — the references cannot denote the same person, no matter how much
+/// association evidence accumulates.
+pub(crate) fn name_pair(na: &str, pa: &PersonName, nb: &str, pb: &PersonName) -> NamePair {
+    if !names_compatible(pa, pb) {
+        // Spelt-out given names disagreeing on the same family name
+        // ("Maria Carey" / "Michael Carey") contradict; so do two
+        // spelt-out, clearly different family names ("Nicholas Rossi" /
+        // "Nicholas Kowalski").
+        let mut contradiction = false;
+        if let (Some(fa), Some(fb)) = (&pa.first, &pb.first) {
+            if fa.chars().count() > 1
+                && fb.chars().count() > 1
+                && pa.last.is_some()
+                && pa.last == pb.last
+            {
+                contradiction = true;
+            }
+        }
+        if let (Some(la), Some(lb)) = (&pa.last, &pb.last) {
+            if la.chars().count() >= 3
+                && lb.chars().count() >= 3
+                && !semex_similarity::name::last_names_compatible(la, lb)
+            {
+                contradiction = true;
+            }
+        }
+        return NamePair {
+            score: jaro_winkler(na, nb).min(0.4),
+            compatible: false,
+            contradiction,
+        };
+    }
+    let s = match (&pa.first, &pb.first) {
+        (Some(fa), Some(fb)) if fa == fb && fa.chars().count() > 1 => 0.92,
+        (Some(fa), Some(fb)) if fa.chars().count() > 1 && fb.chars().count() > 1 => {
+            // Nickname or typo'd given name.
+            0.80 + 0.12 * jaro_winkler(fa, fb)
+        }
+        (Some(fa), Some(fb)) if fa.chars().count() == 1 && fb.chars().count() == 1 => {
+            // Initial vs. initial ("R. Garcia" / "Garcia, R."): barely any
+            // signal — could be any Garcia.
+            0.72
+        }
+        (Some(_), Some(_)) => 0.78, // initial vs. spelt-out given name
+        _ => 0.72,                  // a bare family name
+    };
+    NamePair {
+        score: if pa.last == pb.last { s } else { s - 0.04 },
+        compatible: true,
+        contradiction: false,
+    }
+}
+
+/// The pair comparisons [`person_fold`] consumes. `i` indexes the a-side
+/// values and `j` the b-side ones.
+pub(crate) trait PersonKernels {
+    /// [`name_pair`] of a-side name `i` and b-side name `j`.
+    fn name_pair(&mut self, i: usize, j: usize) -> NamePair;
+    /// `email_similarity` of a-side e-mail `i` and b-side e-mail `j`.
+    fn email_similarity(&mut self, i: usize, j: usize) -> f64;
+    /// `email_matches_parsed_name` of one side's e-mail `e` and the other
+    /// side's name `n`: the e-mail is the a-side's when `a_email` holds.
+    fn email_matches_name(&mut self, a_email: bool, e: usize, n: usize) -> bool;
+}
+
+/// The person-scoring rules, over `names` and `emails` values per side and
+/// the pair comparisons of `k`. Every step folds with a max or an "any", so
+/// the score does not depend on the order of either side's values, nor on
+/// repeated values.
+pub(crate) fn person_fold(
+    k: &mut impl PersonKernels,
+    names: (usize, usize),
+    emails: (usize, usize),
+) -> f64 {
     // E-mail evidence.
     let mut best: f64 = 0.0;
-    for ea in &a.emails {
-        for eb in &b.emails {
-            let s = email_similarity(ea, eb);
+    let mut email_best: f64 = 0.0;
+    for i in 0..emails.0 {
+        for j in 0..emails.1 {
+            let s = k.email_similarity(i, j);
             if s >= 1.0 {
                 return 1.0;
             }
+            email_best = email_best.max(s);
             // Same local part on another domain is weak: "ann@x.edu" /
             // "ann@y.org" are usually two different Anns. Names plus very
             // strong association evidence must corroborate.
@@ -107,59 +201,16 @@ pub fn person_score(a: &Pool<'_>, b: &Pool<'_>) -> f64 {
         }
     }
 
-    // Name evidence, with *negative* evidence: two spelt-out given names
-    // that disagree (Maria vs. Michael) on compatible family names
-    // contradict — the references cannot denote the same person, no matter
-    // how much association evidence accumulates.
+    // Name evidence.
     let mut name_best: f64 = 0.0;
     let mut any_compatible = false;
     let mut contradiction = false;
-    let parsed_a = parsed_views(a);
-    let parsed_b = parsed_views(b);
-    for (na, pa) in a.names.iter().zip(parsed_a.iter()) {
-        for (nb, pb) in b.names.iter().zip(parsed_b.iter()) {
-            if !names_compatible(pa, pb) {
-                name_best = name_best.max(jaro_winkler(na, nb).min(0.4));
-                // Spelt-out given names disagreeing on the same family name
-                // ("Maria Carey" / "Michael Carey") contradict; so do two
-                // spelt-out, clearly different family names ("Nicholas
-                // Rossi" / "Nicholas Kowalski").
-                if let (Some(fa), Some(fb)) = (&pa.first, &pb.first) {
-                    if fa.chars().count() > 1
-                        && fb.chars().count() > 1
-                        && pa.last.is_some()
-                        && pa.last == pb.last
-                    {
-                        contradiction = true;
-                    }
-                }
-                if let (Some(la), Some(lb)) = (&pa.last, &pb.last) {
-                    if la.chars().count() >= 3
-                        && lb.chars().count() >= 3
-                        && !semex_similarity::name::last_names_compatible(la, lb)
-                    {
-                        contradiction = true;
-                    }
-                }
-                continue;
-            }
-            any_compatible = true;
-            let s = match (&pa.first, &pb.first) {
-                (Some(fa), Some(fb)) if fa == fb && fa.chars().count() > 1 => 0.92,
-                (Some(fa), Some(fb)) if fa.chars().count() > 1 && fb.chars().count() > 1 => {
-                    // Nickname or typo'd given name.
-                    0.80 + 0.12 * jaro_winkler(fa, fb)
-                }
-                (Some(fa), Some(fb)) if fa.chars().count() == 1 && fb.chars().count() == 1 => {
-                    // Initial vs. initial ("R. Garcia" / "Garcia, R."):
-                    // barely any signal — could be any Garcia.
-                    0.72
-                }
-                (Some(_), Some(_)) => 0.78, // initial vs. spelt-out given name
-                _ => 0.72,                  // a bare family name
-            };
-            let s = if pa.last == pb.last { s } else { s - 0.04 };
-            name_best = name_best.max(s);
+    for i in 0..names.0 {
+        for j in 0..names.1 {
+            let p = k.name_pair(i, j);
+            name_best = name_best.max(p.score);
+            any_compatible |= p.compatible;
+            contradiction |= p.contradiction;
         }
     }
     best = best.max(name_best);
@@ -167,37 +218,17 @@ pub fn person_score(a: &Pool<'_>, b: &Pool<'_>) -> f64 {
     // Cross evidence: an address derived from the other side's name. On
     // its own it is suggestive (0.74); combined with an agreeing name it
     // corroborates an otherwise ambiguous initial-form match.
-    let mut cross = false;
     if !any_compatible || name_best < 0.92 {
-        for e in &a.emails {
-            for n in parsed_b.iter() {
-                if email_matches_parsed_name(e, n) {
-                    cross = true;
-                }
-            }
-        }
-        for e in &b.emails {
-            for n in parsed_a.iter() {
-                if email_matches_parsed_name(e, n) {
-                    cross = true;
-                }
-            }
-        }
+        let cross = (0..emails.0).any(|e| (0..names.1).any(|n| k.email_matches_name(true, e, n)))
+            || (0..emails.1).any(|e| (0..names.0).any(|n| k.email_matches_name(false, e, n)));
         if cross {
             best = best.max(0.74);
         }
     }
 
     // Agreeing name + e-mail channels reinforce each other.
-    if name_best >= 0.78 && !a.emails.is_empty() && !b.emails.is_empty() {
-        let email_hint = a
-            .emails
-            .iter()
-            .flat_map(|ea| b.emails.iter().map(move |eb| email_similarity(ea, eb)))
-            .fold(0.0_f64, f64::max);
-        if email_hint >= 0.8 {
-            best = (best + 0.08).min(1.0);
-        }
+    if name_best >= 0.78 && emails.0 > 0 && emails.1 > 0 && email_best >= 0.8 {
+        best = (best + 0.08).min(1.0);
     }
     if contradiction {
         // The veto is soft enough to be overridden only by a shared
@@ -205,6 +236,37 @@ pub fn person_score(a: &Pool<'_>, b: &Pool<'_>) -> f64 {
         best = best.min(0.6);
     }
     best.clamp(0.0, 1.0)
+}
+
+/// [`PersonKernels`] computed straight from two pools.
+struct PoolKernels<'p, 'a> {
+    a: &'p Pool<'a>,
+    b: &'p Pool<'a>,
+    parsed_a: ParsedView<'p>,
+    parsed_b: ParsedView<'p>,
+}
+
+impl PersonKernels for PoolKernels<'_, '_> {
+    fn name_pair(&mut self, i: usize, j: usize) -> NamePair {
+        name_pair(
+            self.a.names[i],
+            self.parsed_a.get(i),
+            self.b.names[j],
+            self.parsed_b.get(j),
+        )
+    }
+
+    fn email_similarity(&mut self, i: usize, j: usize) -> f64 {
+        email_similarity(self.a.emails[i], self.b.emails[j])
+    }
+
+    fn email_matches_name(&mut self, a_email: bool, e: usize, n: usize) -> bool {
+        if a_email {
+            email_matches_parsed_name(self.a.emails[e], self.parsed_b.get(n))
+        } else {
+            email_matches_parsed_name(self.b.emails[e], self.parsed_a.get(n))
+        }
+    }
 }
 
 /// Score two Publication pools: best title similarity, adjusted by year

@@ -20,7 +20,7 @@ pub(crate) trait Oracle {
     fn base(&self, ci: u32) -> f64;
     /// Pooled attribute score of candidate `ci` over the two clusters'
     /// member lists (reference indices, in merge order).
-    fn pooled_attr(&self, ci: u32, ma: &[u32], mb: &[u32]) -> f64;
+    fn pooled_attr(&mut self, ci: u32, ma: &[u32], mb: &[u32]) -> f64;
     /// Association evidence for the pair `(a, b)` under the clustering
     /// described by `root_of`.
     fn evidence(&self, a: u32, b: u32, root_of: &mut dyn FnMut(u32) -> u64) -> f64;
@@ -80,7 +80,7 @@ pub(crate) fn propagate<O: Oracle>(
     pairs: &[(u32, u32)],
     must: &[(u32, u32)],
     cannot: &[(u32, u32)],
-    oracle: &O,
+    oracle: &mut O,
 ) -> Outcome {
     let k = pairs.len();
     let mut uf = UnionFind::new(n);
@@ -227,7 +227,7 @@ mod tests {
         fn base(&self, ci: u32) -> f64 {
             self.base[ci as usize]
         }
-        fn pooled_attr(&self, ci: u32, _ma: &[u32], _mb: &[u32]) -> f64 {
+        fn pooled_attr(&mut self, ci: u32, _ma: &[u32], _mb: &[u32]) -> f64 {
             self.base[ci as usize]
         }
         fn evidence(&self, a: u32, b: u32, root_of: &mut dyn FnMut(u32) -> u64) -> f64 {
@@ -265,8 +265,8 @@ mod tests {
     fn conclusive_pairs_merge_and_chain() {
         // 0-1 conclusive, 1-2 conclusive: one cluster of three.
         let pairs = [(0, 1), (1, 2)];
-        let oracle = FixedOracle::plain(vec![0.9, 0.9], vec![vec![], vec![], vec![]], false);
-        let mut out = propagate(3, &pairs, &[], &[], &oracle);
+        let mut oracle = FixedOracle::plain(vec![0.9, 0.9], vec![vec![], vec![], vec![]], false);
+        let mut out = propagate(3, &pairs, &[], &[], &mut oracle);
         assert_eq!(clusters(&mut out), vec![vec![0, 1, 2]]);
         assert_eq!(out.iterations, 2);
     }
@@ -274,8 +274,8 @@ mod tests {
     #[test]
     fn below_threshold_pairs_stay_apart() {
         let pairs = [(0, 1)];
-        let oracle = FixedOracle::plain(vec![0.5], vec![vec![], vec![]], false);
-        let mut out = propagate(2, &pairs, &[], &[], &oracle);
+        let mut oracle = FixedOracle::plain(vec![0.5], vec![vec![], vec![]], false);
+        let mut out = propagate(2, &pairs, &[], &[], &mut oracle);
         assert!(clusters(&mut out).is_empty());
     }
 
@@ -290,7 +290,7 @@ mod tests {
             false,
         );
         oracle.evidence_if_same.insert((0, 1), (2, 3));
-        let mut out = propagate(4, &pairs, &[], &[], &oracle);
+        let mut out = propagate(4, &pairs, &[], &[], &mut oracle);
         assert_eq!(clusters(&mut out), vec![vec![0, 1], vec![2, 3]]);
         assert!(out.iterations >= 3, "pair (0,1) must be re-evaluated");
     }
@@ -298,9 +298,9 @@ mod tests {
     #[test]
     fn cannot_link_vetoes_and_must_link_seeds() {
         let pairs = [(0, 1), (2, 3)];
-        let oracle =
+        let mut oracle =
             FixedOracle::plain(vec![0.9, 0.1], vec![vec![], vec![], vec![], vec![]], false);
-        let mut out = propagate(4, &pairs, &[(2, 3)], &[(0, 1)], &oracle);
+        let mut out = propagate(4, &pairs, &[(2, 3)], &[(0, 1)], &mut oracle);
         // 0-1 scores high but is vetoed; 2-3 scores low but is seeded.
         assert_eq!(clusters(&mut out), vec![vec![2, 3]]);
     }
@@ -311,13 +311,13 @@ mod tests {
         // the neighbour graph but changes neither of its clusters, so the
         // second evaluation is a memo hit.
         let pairs = [(0, 1), (2, 3)];
-        let oracle = FixedOracle::plain(
+        let mut oracle = FixedOracle::plain(
             vec![0.5, 0.9],
             // 2's merge touches neighbour 0, re-activating pair (0,1).
             vec![vec![], vec![], vec![0], vec![]],
             true,
         );
-        let mut out = propagate(4, &pairs, &[], &[], &oracle);
+        let mut out = propagate(4, &pairs, &[], &[], &mut oracle);
         assert_eq!(clusters(&mut out), vec![vec![2, 3]]);
         assert!(out.iterations >= 3, "pair (0,1) re-evaluated");
         assert_eq!(out.memo_hits, 1, "unchanged clusters skip rescoring");

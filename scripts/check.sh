@@ -28,8 +28,9 @@ echo "    stores and indexes round-trip byte-identically)"
 cargo test -q -p semex-store --test binary_fuzz_prop
 cargo test -q -p semex-index --test sidecar_fuzz_prop
 
-echo "==> reconciliation exactness (worklist unit tests, any-thread-count"
-echo "    equivalence proptest, and the golden Full runs on tiny corpora)"
+echo "==> reconciliation exactness (worklist unit tests, the person-kernel memo"
+echo "    proptest vs person_score, any-thread-count equivalence proptest, and the"
+echo "    golden Full runs on tiny corpora and at paper scale)"
 cargo test -q -p semex-recon
 cargo test -q --test recon_golden
 
