@@ -1,8 +1,9 @@
 //! Criterion bench backing experiment E5: reconciliation throughput per
-//! variant, plus the blocking and scoring phases in isolation.
+//! variant, the blocking and scoring phases in isolation, and one
+//! incremental ingest on a settled paper-sized platform.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use semex_bench::extract_corpus;
+use semex_bench::{build_platform, extract_corpus, two_person_mbox};
 use semex_corpus::{generate_personal, CorpusConfig};
 use semex_recon::{blocking, reconcile, ReconConfig, RefTable, Variant};
 
@@ -100,11 +101,32 @@ fn bench_parallel_scoring(c: &mut Criterion) {
     group.finish();
 }
 
+/// One two-person mbox through `Semex::ingest` on the settled paper-sized
+/// platform: extraction, incremental reconciliation and the index delta.
+/// Every iteration ingests a new message, so the space grows by a few
+/// objects per iteration, as it does under a live write load.
+fn bench_incremental(c: &mut Criterion) {
+    let corpus = generate_personal(&CorpusConfig::default());
+    let mut semex = build_platform(&corpus, "bench-recon-incremental");
+    let mut i = 0;
+    let mut group = c.benchmark_group("recon_incremental");
+    group.bench_function("paper_two_person_mbox", |b| {
+        b.iter(|| {
+            i += 1;
+            semex
+                .ingest(two_person_mbox(&corpus, i))
+                .expect("mail ingests")
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_variants,
     bench_scaling,
     bench_phases,
-    bench_parallel_scoring
+    bench_parallel_scoring,
+    bench_incremental
 );
 criterion_main!(benches);

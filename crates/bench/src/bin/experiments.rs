@@ -6,7 +6,10 @@
 //! cargo run -p semex-bench --release --bin experiments -- e3 e5
 //! ```
 
-use semex_bench::{extract_bib_str, extract_corpus, label_references, labels_of_kind, TextTable};
+use semex_bench::{
+    build_platform, extract_bib_str, extract_corpus, label_references, labels_of_kind,
+    two_person_mbox, TextTable,
+};
 use semex_browse::Browser;
 use semex_corpus::{generate_cora, generate_personal, CoraConfig, CorpusConfig, EntityKind};
 use semex_index::SearchIndex;
@@ -346,6 +349,31 @@ fn e2_consolidation() {
     }
     println!("{}", t.render());
     println!("{}", phase_table.render());
+
+    // Incremental ingest on the settled platform: new two-person mail
+    // through `Semex::ingest` (extraction, incremental reconciliation,
+    // index delta), timed per call, and the reconciliation on its own.
+    const INGESTS: usize = 160;
+    let mut semex = build_platform(&corpus, "e2-ingest");
+    let (mut ingest_ms, mut ingest_recon_ms): (Vec<f64>, Vec<f64>) = (0..INGESTS)
+        .map(|i| {
+            let spec = two_person_mbox(&corpus, i);
+            let t = Instant::now();
+            semex.ingest(spec).expect("mail ingests");
+            let total = ms(t.elapsed());
+            let recon = semex.last_ingest_recon().expect("ingest reconciled");
+            (total, ms(recon.phases.total()))
+        })
+        .unzip();
+    ingest_ms.sort_by(f64::total_cmp);
+    ingest_recon_ms.sort_by(f64::total_cmp);
+    let ingest_p50_ms = ingest_ms[INGESTS / 2];
+    let ingest_p90_ms = ingest_ms[INGESTS * 9 / 10];
+    let recon_p50_ms = ingest_recon_ms[INGESTS / 2];
+    println!(
+        "incremental ingest: {INGESTS} two-person mails, p50 {ingest_p50_ms:.2} ms \
+         (reconciliation {recon_p50_ms:.2} ms), p90 {ingest_p90_ms:.2} ms\n"
+    );
     let bench = serde_json::json!({
         "experiment": "e2-consolidation",
         "refs": report.refs,
@@ -353,6 +381,12 @@ fn e2_consolidation() {
         "threads": threads,
         "variants": variants_json,
         "full_speedup": full_speedup,
+        "ingest": {
+            "ingests": INGESTS,
+            "p50_ms": ingest_p50_ms,
+            "p90_ms": ingest_p90_ms,
+            "recon_p50_ms": recon_p50_ms,
+        },
     });
     let record = serde_json::to_string_pretty(&bench).expect("bench record serializes");
     if let Err(e) = std::fs::write("BENCH_recon.json", record) {

@@ -129,6 +129,42 @@ pub fn labels_of_kind(labels: &HashMap<ObjectId, u64>, tag: u64) -> HashMap<Obje
         .collect()
 }
 
+/// Build a platform from a rendered corpus the way `semex build <dir>`
+/// does: write it to a scratch directory under the system temp dir named
+/// by `tag`, build from the directory, and remove the directory again.
+pub fn build_platform(corpus: &PersonalCorpus, tag: &str) -> semex_core::Semex {
+    let dir = std::env::temp_dir().join(format!("semex-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    corpus.write_to(&dir).expect("corpus renders to disk");
+    let semex = semex_core::SemexBuilder::new()
+        .add_directory("home", &dir)
+        .build()
+        .expect("corpus builds");
+    std::fs::remove_dir_all(&dir).ok();
+    semex
+}
+
+/// The `i`-th message of an incremental-ingest workload: one mail from one
+/// of the corpus's true people to another, by canonical name and primary
+/// address — the shape of new mail arriving on a settled desktop.
+pub fn two_person_mbox(corpus: &PersonalCorpus, i: usize) -> semex_core::SourceSpec {
+    let people = &corpus.world.people;
+    let a = &people[(i * 7) % people.len()];
+    let b = &people[(i * 13 + 5) % people.len()];
+    semex_core::SourceSpec::Mbox {
+        name: format!("new-mail-{i}"),
+        content: format!(
+            "From: {} <{}>\nTo: {} <{}>\nSubject: follow-up {i}\n\
+             Message-ID: <new-{i}@bench.example>\n\nNotes for {}.\n",
+            a.canonical_name(),
+            a.emails[0],
+            b.canonical_name(),
+            b.emails[0],
+            b.first,
+        ),
+    }
+}
+
 /// Minimal aligned-column table printer for experiment output.
 pub struct TextTable {
     header: Vec<String>,

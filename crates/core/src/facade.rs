@@ -9,6 +9,7 @@ use semex_journal::{
     CompactionReport, DurableStore, Journal, JournalConfig, JournalError, JournalIo,
     RecoveryReport, SnapshotFormat,
 };
+use semex_recon::BlockingIndex;
 use semex_store::{ObjectId, SnapshotError, Store, StoreEvent, StoreStats};
 use std::fmt;
 
@@ -210,6 +211,11 @@ pub struct Semex {
     /// [`crate::SemexError::Degraded`] until
     /// [`DurableSemex::try_recover_journal`] clears the condition.
     degraded: Option<String>,
+    /// The report of the latest ingest's incremental reconciliation.
+    last_ingest_recon: Option<semex_recon::ReconReport>,
+    /// The blocking-key index ingests reconcile against, synced lazily by
+    /// each ingest over the store slots added since the previous one.
+    blocking: BlockingIndex,
 }
 
 impl fmt::Debug for Semex {
@@ -241,6 +247,8 @@ impl Semex {
             retain_events: false,
             batch_index: false,
             degraded: None,
+            last_ingest_recon: None,
+            blocking: BlockingIndex::new(),
         }
     }
 
@@ -252,13 +260,17 @@ impl Semex {
     /// and never changes afterwards. This is what the serving layer
     /// publishes to reader threads after each write batch.
     pub fn snapshot(&self) -> Snapshot {
-        let mut index = self.index.clone();
         // Don't drain the master's buffer — peeking keeps the pending
         // journal/flush bookkeeping untouched.
         let pending = self.store.peek_events();
-        if !pending.is_empty() {
+        // A snapshot is never maintained, so its index is a read-only copy.
+        let index = if pending.is_empty() {
+            self.index.read_only()
+        } else {
+            let mut index = self.index.clone();
             index.apply_events(&self.store, pending);
-        }
+            index.read_only()
+        };
         Snapshot {
             store: self.store.clone(),
             index,
@@ -338,6 +350,13 @@ impl Semex {
         &self.report
     }
 
+    /// What the latest [`Semex::ingest`] reconciliation did: its counters,
+    /// phase timings and merges. `None` before the first ingest and when
+    /// reconciliation is skipped.
+    pub fn last_ingest_recon(&self) -> Option<&semex_recon::ReconReport> {
+        self.last_ingest_recon.as_ref()
+    }
+
     /// The active configuration.
     pub fn config(&self) -> &SemexConfig {
         &self.config
@@ -406,10 +425,18 @@ impl Semex {
     }
 
     /// Incrementally ingest a new source into a built platform: extract,
-    /// reconcile the grown reference graph, and fold the mutations into
-    /// the keyword index.
+    /// reconcile the new references against the existing space, and fold
+    /// the mutations into the keyword index.
     /// This is the demo's "desktop monitor noticed new mail" path. Returns
     /// the extraction stats for the new source.
+    ///
+    /// Reconciliation blocks against the platform's persistent
+    /// [`BlockingIndex`] and scores over a local reference table of the
+    /// candidates and their evidence neighbours (see
+    /// [`semex_recon::reconcile_incremental_with`]), so its cost follows
+    /// the new references rather than the size of the space; the merges
+    /// are those a run over the full reference table would make. The
+    /// index is built by the first ingest.
     ///
     /// Cross-source registries (reply threading to *old* messages, BibTeX
     /// keys from *old* bibliographies) do not span ingest calls; batch
@@ -462,16 +489,17 @@ impl Semex {
         if !self.config.skip_recon {
             // Incremental: only pairs touching the just-extracted
             // references are (re)considered — old-old pairs were settled by
-            // the build-time run.
+            // the build-time run and earlier ingests.
             let new_objects: Vec<ObjectId> = (first_new_slot..self.store.slot_count() as u64)
                 .map(ObjectId)
                 .collect();
-            semex_recon::reconcile_incremental(
+            self.last_ingest_recon = Some(semex_recon::reconcile_incremental_with(
                 &mut self.store,
+                &mut self.blocking,
                 &new_objects,
                 self.config.recon_variant,
                 &self.config.recon,
-            );
+            ));
         }
         self.refresh_index();
         Ok(stats)
@@ -658,6 +686,7 @@ impl Semex {
         }
         let (store, journal) = durable.into_parts();
         self.store = store;
+        self.blocking = BlockingIndex::new();
         self.store.enable_events();
         self.retain_events = true;
         self.pending_events.clear();
@@ -812,6 +841,9 @@ impl DurableSemex {
             });
         }
         self.journal.append_commit(events)?;
+        // Shipped events may add values to references this platform has
+        // already indexed for blocking.
+        self.semex.blocking = BlockingIndex::new();
         for event in events {
             if let Err(e) = self.semex.store.apply_event(event) {
                 // The journal already sealed the batch but the store

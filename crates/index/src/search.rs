@@ -10,6 +10,7 @@ use semex_model::names::attr;
 use semex_model::ClassId;
 use semex_store::{ObjectId, Store, StoreEvent};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One ranked search result.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +117,9 @@ fn tokenize_shard(store: &Store, objects: &[ObjectId]) -> Shard {
 /// index compacts itself when enough tombstones accumulate.
 #[derive(Debug, Clone, Default)]
 pub struct SearchIndex {
-    pub(crate) dict: TermDict,
+    /// Shared with every clone until one of them interns a new term:
+    /// published snapshot copies rarely see one, so they share it.
+    pub(crate) dict: Arc<TermDict>,
     /// Indexed by term id.
     pub(crate) postings: Vec<PostingList>,
     /// Indexed by dense doc slot; tombstoned entries stay until compaction.
@@ -135,6 +138,9 @@ pub struct SearchIndex {
     /// Write-batching layers assert on this: N coalesced mutations must
     /// cost one delta application, not N.
     apply_calls: u64,
+    /// Set on a [`SearchIndex::read_only`] copy, which has no forward
+    /// index or object → doc map and refuses maintenance.
+    read_only: bool,
 }
 
 impl SearchIndex {
@@ -190,9 +196,39 @@ impl SearchIndex {
         idx
     }
 
+    /// A copy that answers every query exactly as `self` does, without the
+    /// state only maintenance reads: the forward index and the object →
+    /// doc map, one allocation per document. Published snapshots hold
+    /// these. Maintaining a read-only copy, or writing a sidecar from it,
+    /// panics.
+    pub fn read_only(&self) -> SearchIndex {
+        SearchIndex {
+            dict: Arc::clone(&self.dict),
+            postings: self.postings.clone(),
+            docs: self.docs.clone(),
+            doc_terms: Vec::new(),
+            doc_of: HashMap::new(),
+            live_docs: self.live_docs,
+            total_len: self.total_len,
+            params: self.params,
+            apply_calls: self.apply_calls,
+            read_only: true,
+        }
+    }
+
+    fn assert_maintainable(&self) {
+        assert!(
+            !self.read_only,
+            "a read-only index copy cannot be maintained"
+        );
+    }
+
     /// Intern a term into the global dictionary, growing the posting array.
     fn intern_term(&mut self, term: &str) -> u32 {
-        let id = self.dict.intern(term);
+        let id = match self.dict.lookup(term) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.dict).intern(term),
+        };
         if self.postings.len() <= id as usize {
             self.postings
                 .resize_with(id as usize + 1, PostingList::default);
@@ -239,6 +275,7 @@ impl SearchIndex {
     /// document (tombstone + fresh slot), so post-merge re-indexing picks
     /// up pooled surface forms instead of silently keeping the stale ones.
     pub fn add_object(&mut self, store: &Store, obj: ObjectId) {
+        self.assert_maintainable();
         let obj = store.resolve(obj);
         self.remove_object(obj);
         self.absorb(tokenize_shard(store, std::slice::from_ref(&obj)));
@@ -250,6 +287,7 @@ impl SearchIndex {
     /// posting entries themselves linger until [`SearchIndex::compact`].
     /// Returns whether a document was removed.
     pub fn remove_object(&mut self, obj: ObjectId) -> bool {
+        self.assert_maintainable();
         let Some(doc) = self.doc_of.remove(&obj) else {
             return false;
         };
@@ -273,6 +311,7 @@ impl SearchIndex {
         if events.is_empty() {
             return;
         }
+        self.assert_maintainable();
         self.apply_calls += 1;
         let model = store.model();
         let mut dirty: Vec<ObjectId> = Vec::new();
@@ -315,6 +354,7 @@ impl SearchIndex {
     /// of live docs carries everything needed. Per-term `max_tf` bounds are
     /// recomputed exactly, so pruning tightens back up after heavy churn.
     pub fn compact(&mut self) {
+        self.assert_maintainable();
         if self.live_docs == self.docs.len() {
             return;
         }
@@ -386,6 +426,7 @@ impl SearchIndex {
         f64,
         Bm25Params,
     ) {
+        self.assert_maintainable();
         (
             &self.dict,
             &self.postings,
@@ -415,7 +456,7 @@ impl SearchIndex {
             .map(|(i, d)| (d.object, i as u32))
             .collect();
         SearchIndex {
-            dict,
+            dict: Arc::new(dict),
             postings,
             docs,
             doc_terms,
@@ -424,6 +465,7 @@ impl SearchIndex {
             total_len,
             params,
             apply_calls: 0,
+            read_only: false,
         }
     }
 
@@ -710,6 +752,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn read_only_copy_answers_alike_and_refuses_maintenance() {
+        let st = sample_store();
+        let idx = SearchIndex::build(&st);
+        let ro = idx.read_only();
+        assert_eq!(ro.doc_count(), idx.doc_count());
+        for q in [
+            "reconciliation demo",
+            "class:Message demo",
+            "luna@cs.example.edu",
+        ] {
+            assert_eq!(
+                ro.search_str(&st, q, 10),
+                idx.search_str(&st, q, 10),
+                "{q:?}"
+            );
+            assert_eq!(
+                ro.search_str_exhaustive(&st, q, 10),
+                idx.search_str_exhaustive(&st, q, 10)
+            );
+        }
+        let obj = st.objects().next().unwrap();
+        let refused = std::panic::catch_unwind(|| ro.clone().remove_object(obj));
+        assert!(refused.is_err(), "a read-only copy cannot drop documents");
     }
 
     /// Satellite regression: equal scores must tie-break on ascending

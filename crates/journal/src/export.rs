@@ -192,7 +192,7 @@ fn export_inner(
                             });
                         }
                     } else {
-                        match serde_json::from_slice::<StoreEvent>(payload) {
+                        match StoreEvent::from_record(payload) {
                             Ok(event) => {
                                 pending.push(event);
                                 decoded_seq += 1;

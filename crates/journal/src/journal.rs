@@ -359,7 +359,7 @@ impl Journal {
         }
         let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(events.len());
         for event in events {
-            payloads.push(serde_json::to_vec(event)?);
+            payloads.push(event.to_record()?);
         }
         let mut attempt = 0u32;
         loop {
@@ -1170,7 +1170,7 @@ fn recover_inner(
                         }
                         watermark = Some((pos, offset as u64));
                     } else {
-                        match serde_json::from_slice::<StoreEvent>(payload) {
+                        match StoreEvent::from_record(payload) {
                             Ok(event) => {
                                 pending.push(event);
                                 decoded_seq += 1;

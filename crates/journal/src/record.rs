@@ -16,8 +16,9 @@ pub const HEADER_LEN: usize = 8;
 /// payload that will never come.
 pub const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
 
-/// Payload of the record that seals a commit. Event payloads are JSON
-/// objects (they start with `{`), so this can never collide with one.
+/// Payload of the record that seals a commit. Event payloads start with
+/// the binary event marker `0xE1`, or with `{` in journals that stored
+/// events as JSON, so this can never collide with one.
 pub const COMMIT_MARKER: &[u8] = b"!commit";
 
 /// Outcome of decoding one record from the front of a buffer.

@@ -7,11 +7,15 @@
 //!    contained in the prefix comes back intact, and the cut surfaces as
 //!    `End` (at a record boundary) or `Torn` (mid-record) — never
 //!    `Corrupt`, and never a wrong record.
+//!
+//! Event payloads themselves: every event survives its binary record
+//! (`StoreEvent::to_record` → `from_record`), JSON payloads of older
+//! journals still decode, and hostile payload bytes give a typed error.
 
 use proptest::prelude::*;
 use semex_journal::record::{self, Decoded};
 use semex_model::{AssocId, AttrId, ClassId, Value};
-use semex_store::{ObjectId, SourceId, StoreEvent};
+use semex_store::{ObjectId, SourceId, SourceInfo, SourceKind, StoreEvent};
 
 /// A strategy over the id-carrying event variants (the variants carrying a
 /// whole model or source registry are exercised by the recovery tests; for
@@ -41,6 +45,35 @@ fn event_strategy() -> impl Strategy<Value = StoreEvent> {
             loser: ObjectId(l),
         }),
     ]
+}
+
+/// Every event variant but `SyncModel`, with every value kind.
+fn any_event() -> impl Strategy<Value = StoreEvent> {
+    let value = prop_oneof![
+        ".{0,64}".prop_map(Value::from),
+        any::<i64>().prop_map(Value::Int),
+        (-1.0e12f64..1.0e12).prop_map(Value::Float),
+        any::<i64>().prop_map(Value::Date),
+        any::<bool>().prop_map(Value::Bool),
+    ];
+    prop_oneof![
+        event_strategy(),
+        (any::<u64>(), any::<u16>(), value).prop_map(|(o, a, value)| StoreEvent::AddAttr {
+            object: ObjectId(o),
+            attr: AttrId(a),
+            value,
+        }),
+        (".{0,40}", any::<bool>(), ".{0,40}").prop_map(|(name, located, at)| {
+            let info = SourceInfo::new(name, SourceKind::Contacts);
+            StoreEvent::RegisterSource {
+                info: if located { info.at(at) } else { info },
+            }
+        }),
+    ]
+}
+
+fn json(e: &StoreEvent) -> String {
+    serde_json::to_string(e).unwrap()
 }
 
 /// Decode a whole buffer into payloads, returning the terminal state.
@@ -109,5 +142,41 @@ proptest! {
         } else {
             prop_assert_eq!(terminal, Decoded::Torn, "cut mid-record");
         }
+    }
+
+    /// Binary event records round-trip every event, and are smaller than
+    /// the JSON the journal used to store; JSON payloads still decode.
+    #[test]
+    fn event_records_round_trip(events in prop::collection::vec(any_event(), 1..20)) {
+        for e in &events {
+            let record = e.to_record().unwrap();
+            let back = StoreEvent::from_record(&record).unwrap();
+            prop_assert_eq!(json(&back), json(e));
+            prop_assert!(record.len() < json(e).len());
+            let old = StoreEvent::from_record(json(e).as_bytes()).unwrap();
+            prop_assert_eq!(json(&old), json(e));
+        }
+    }
+
+    /// Damaged records — any truncation, any single bit flip, any bytes
+    /// after the marker — decode to a typed error or to some event, never
+    /// a panic; a truncated record never decodes.
+    #[test]
+    fn hostile_event_records_never_panic(
+        e in any_event(),
+        cut_fraction in 0.0f64..1.0,
+        flip in any::<u64>(),
+        noise in prop::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let record = e.to_record().unwrap();
+        let cut = ((record.len() as f64) * cut_fraction) as usize;
+        prop_assert!(StoreEvent::from_record(&record[..cut]).is_err());
+        let mut flipped = record.clone();
+        let bit = (flip % (flipped.len() as u64 * 8)) as usize;
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let _ = StoreEvent::from_record(&flipped);
+        let mut hostile = vec![record[0]];
+        hostile.extend(noise);
+        let _ = StoreEvent::from_record(&hostile);
     }
 }

@@ -21,11 +21,17 @@
 //! is folded to a 64-bit FNV-1a fingerprint, and buckets are formed by
 //! sorting one flat `(class, hash, ref)` row table — no per-key `String`,
 //! no hash map of owned keys, no `HashSet` of pairs.
+//!
+//! Incremental runs block against a persistent [`BlockingIndex`] instead:
+//! only the buckets of the new references' keys are read, so their cost
+//! follows the new references, not the store.
 
-use crate::refs::RefTable;
+use crate::refs::{reconcilable_classes, CachedAttrs, RefEntry, RefKind, RefTable};
+use semex_model::ClassId;
 use semex_similarity::name::PersonName;
 use semex_similarity::venue::for_each_venue_token;
 use semex_similarity::{lowercase_into, soundex, token_spans};
+use semex_store::{ObjectId, Store};
 use std::collections::HashMap;
 
 /// Buckets larger than this are considered non-discriminative and skipped.
@@ -38,7 +44,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// string key would hold. A 64-bit collision across a class's key space is
 /// vanishingly unlikely, and its worst case is one spurious candidate pair
 /// that still has to clear the scorer, so blocking stays sound.
-fn key_hash(ns: &str, body: &str) -> u64 {
+pub fn key_hash(ns: &str, body: &str) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in ns.as_bytes().iter().chain(body.as_bytes()) {
         h ^= u64::from(b);
@@ -77,6 +83,127 @@ pub fn candidate_pairs(table: &RefTable) -> Vec<(u32, u32)> {
     pairs.sort_unstable();
     pairs.dedup();
     pairs
+}
+
+/// The distinct key fingerprints of one reference, ascending.
+pub(crate) fn key_hashes(e: &RefEntry) -> Vec<u64> {
+    let mut hashes = Vec::new();
+    visit_keys(e, |ns, body| hashes.push(key_hash(ns, body)));
+    hashes.sort_unstable();
+    hashes.dedup();
+    hashes
+}
+
+/// A persistent, append-only blocking-key index over a store: every
+/// `(class, key fingerprint)` maps to the references that carried the key.
+///
+/// Reference values are only ever added — extraction writes a new
+/// reference's values before it is reconciled, and a merge pools the
+/// loser's values into the winner — so an indexed key never becomes
+/// wrong, it only goes stale: its reference may since have been merged
+/// away. Reads therefore resolve a bucket's ids through
+/// [`Store::resolve`] and compact it, and merges need no upkeep. After a
+/// [`BlockingIndex::sync`], the live bucket of every key equals the bucket
+/// [`candidate_pairs`] forms over a fresh [`RefTable::build`].
+///
+/// An index belongs to one store: a store that is replaced or renumbered,
+/// or that gains values on already-indexed references by any path other
+/// than a merge, needs a fresh index.
+#[derive(Debug, Clone, Default)]
+pub struct BlockingIndex {
+    /// `(class, key fingerprint)` → reference ids, possibly stale.
+    buckets: HashMap<(u16, u64), Vec<ObjectId>>,
+    /// Store slots indexed so far: `0..synced`.
+    synced: usize,
+    /// The model's reconcilable classes when the index was started; a
+    /// model change restarts the index.
+    classes: Vec<(ClassId, RefKind)>,
+}
+
+impl BlockingIndex {
+    /// An empty index; the first [`BlockingIndex::sync`] indexes the whole
+    /// store.
+    pub fn new() -> BlockingIndex {
+        BlockingIndex::default()
+    }
+
+    /// Index the keys of the store slots added since the last sync.
+    ///
+    /// A new slot that is already an alias gave its values to its winner.
+    /// A winner among the new slots is indexed with all its values anyway;
+    /// an older winner is re-indexed with all of its current values, which
+    /// include the new slot's.
+    pub fn sync(&mut self, store: &Store) {
+        let classes = reconcilable_classes(store);
+        if self.classes != classes {
+            *self = BlockingIndex {
+                classes,
+                ..BlockingIndex::default()
+            };
+        }
+        let attrs = CachedAttrs::of(store);
+        let mut reindexed: Vec<ObjectId> = Vec::new();
+        for slot in self.synced..store.slot_count() {
+            let id = store.resolve(ObjectId(slot as u64));
+            if id.index() != slot {
+                if id.index() >= self.synced || reindexed.contains(&id) {
+                    continue;
+                }
+                reindexed.push(id);
+            }
+            let class = store.class_of(id);
+            let Some(&(_, kind)) = self.classes.iter().find(|&&(c, _)| c == class) else {
+                continue;
+            };
+            let entry = RefEntry::of_object(store, &attrs, id, class, kind);
+            for h in key_hashes(&entry) {
+                self.buckets.entry((class.0, h)).or_default().push(id);
+            }
+        }
+        self.synced = store.slot_count();
+    }
+
+    /// The live references carrying key `hash` in `class`, ascending. The
+    /// bucket is resolved and compacted in place.
+    pub fn bucket(&mut self, store: &Store, class: ClassId, hash: u64) -> &[ObjectId] {
+        let Some(ids) = self.buckets.get_mut(&(class.0, hash)) else {
+            return &[];
+        };
+        for id in ids.iter_mut() {
+            *id = store.resolve(*id);
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    /// Candidate pairs touching any of `refs` (live references, each with
+    /// its entry): every pair a reference forms in one of its buckets, as
+    /// `(smaller id, larger id)`, sorted and deduplicated. Equal to the
+    /// pairs of [`candidate_pairs`] over a fresh table that touch `refs`.
+    pub(crate) fn pairs_touching(
+        &mut self,
+        store: &Store,
+        refs: &[RefEntry],
+    ) -> Vec<(ObjectId, ObjectId)> {
+        let mut pairs = Vec::new();
+        for e in refs {
+            for h in key_hashes(e) {
+                let bucket = self.bucket(store, e.class, h);
+                if bucket.len() < 2 || bucket.len() > MAX_BUCKET {
+                    continue;
+                }
+                for &x in bucket {
+                    if x != e.obj {
+                        pairs.push((e.obj.min(x), e.obj.max(x)));
+                    }
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+    }
 }
 
 /// Visit the blocking keys of one reference as `(namespace, body)` pairs,
@@ -334,6 +461,44 @@ mod tests {
         expect.sort_unstable();
         assert!(!expect.is_empty(), "fixture must produce candidates");
         assert_eq!(candidate_pairs(&t), expect);
+    }
+
+    #[test]
+    fn index_buckets_follow_merges_made_before_and_after_sync() {
+        let mut st = Store::with_builtin_model();
+        let src = st.register_source(SourceInfo::new("b", SourceKind::Bibliography));
+        extract_bibtex(
+            "@inproceedings{a, title={Streaming joins}, author={Ann Walker}, booktitle={VLDB}, year=2001}",
+            &mut ExtractContext::new(&mut st, src),
+        )
+        .unwrap();
+        let c_person = st.model().class("Person").unwrap();
+        let a_email = st.model().attr("email").unwrap();
+        let ann = st.objects_of_class(c_person).next().unwrap();
+        let mut keys = BlockingIndex::new();
+        keys.sync(&st);
+
+        // A new reference merged into Ann before the index sees its slot:
+        // Ann now carries its e-mail key.
+        let fresh = st.add_object(c_person);
+        st.add_attr(fresh, a_email, "zed@x.org".into()).unwrap();
+        st.merge(ann, fresh).unwrap();
+        keys.sync(&st);
+        let zed = key_hash("e:", "zed@x.org");
+        assert_eq!(keys.bucket(&st, c_person, zed), &[ann]);
+
+        // A merge after sync resolves on read: the loser's keys land on
+        // the winner, and the bucket is compacted to one live id.
+        let walker = st.add_object(c_person);
+        st.add_attr(walker, a_email, "zed@x.org".into()).unwrap();
+        keys.sync(&st);
+        assert_eq!(keys.bucket(&st, c_person, zed), &[ann, walker]);
+        st.merge(walker, ann).unwrap();
+        assert_eq!(keys.bucket(&st, c_person, zed), &[walker]);
+        let table = RefTable::build(&st, 64);
+        let people: Vec<u32> = table.of_class(c_person).collect();
+        assert_eq!(people.len(), 1);
+        assert!(keys_for(&table.entries[people[0] as usize]).contains(&"e:zed@x.org".to_owned()));
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The reconciliation engine: dependency-graph propagation with reference
 //! enrichment over blocked candidate pairs.
 
-use crate::blocking::{self, BlockingStats};
+use crate::blocking::{self, BlockingIndex, BlockingStats};
 use crate::memo::PersonMemo;
-use crate::refs::{RefKind, RefTable};
+use crate::refs::{reconcilable_classes, CachedAttrs, RefEntry, RefKind, RefTable};
 use crate::score::{organization_score, person_score, publication_score, venue_score, Pool};
 use crate::worklist::{allowed, propagate, Oracle};
 use crate::{ReconConfig, UnionFind, Variant};
 use semex_model::names::assoc as an;
+use semex_model::ClassId;
 use semex_store::{ObjectId, Store};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -18,7 +19,8 @@ use std::time::{Duration, Instant};
 pub struct ReconReport {
     /// The variant that ran.
     pub variant: Variant,
-    /// References considered.
+    /// Live references in the store (incremental runs included, though
+    /// they only read the candidates' neighbourhoods).
     pub refs: usize,
     /// Candidate pairs after blocking.
     pub candidates: usize,
@@ -67,7 +69,11 @@ impl ReconPhases {
 
 /// Run reconciliation on a store and apply the resulting merges.
 pub fn reconcile(store: &mut Store, variant: Variant, cfg: &ReconConfig) -> ReconReport {
-    run(store, variant, cfg, None)
+    let start = Instant::now();
+    let table = RefTable::build(store, cfg.max_fanout);
+    let pairs = blocking::candidate_pairs(&table);
+    let stats = BlockingStats::compute(&table, &pairs);
+    run(store, variant, cfg, start, table, pairs, stats)
 }
 
 /// Incremental reconciliation: consider only candidate pairs that involve
@@ -75,44 +81,107 @@ pub fn reconcile(store: &mut Store, variant: Variant, cfg: &ReconConfig) -> Reco
 /// run). Evidence still flows through the *whole* reference graph, so a
 /// new reference can merge with any existing one; what is skipped is the
 /// re-evaluation of old-old pairs, which previous runs already settled.
-/// This is the fast path behind the platform's ingest-a-new-source loop —
-/// on a settled store it costs milliseconds where a full run costs
-/// seconds.
+///
+/// This blocks against a fresh [`BlockingIndex`], which costs one pass
+/// over the store's references; a caller that reconciles the same store
+/// again and again — the platform's ingest loop — keeps one index and
+/// calls [`reconcile_incremental_with`] instead. Either way the outcome is
+/// the one a full reference table would give.
 pub fn reconcile_incremental(
     store: &mut Store,
-    new_objects: &[semex_store::ObjectId],
+    new_objects: &[ObjectId],
     variant: Variant,
     cfg: &ReconConfig,
 ) -> ReconReport {
-    run(store, variant, cfg, Some(new_objects))
+    reconcile_incremental_with(store, &mut BlockingIndex::new(), new_objects, variant, cfg)
 }
 
+/// [`reconcile_incremental`] against a persistent blocking-key index: the
+/// index is synced over the store slots added since its last use, the
+/// candidate pairs come from the new references' buckets, and the run
+/// works on a local reference table of the candidates' endpoints, the
+/// constraint references and the endpoints' evidence neighbours. Its cost
+/// follows the new references and their neighbourhoods, not the store.
+///
+/// The local table is indexed in the global reference order, so the
+/// worklist, the union-find and the merge order see the same problem as a
+/// run over the full table, and the merges are identical. The report
+/// counts references and the quadratic pair space over the whole store.
+pub fn reconcile_incremental_with(
+    store: &mut Store,
+    keys: &mut BlockingIndex,
+    new_objects: &[ObjectId],
+    variant: Variant,
+    cfg: &ReconConfig,
+) -> ReconReport {
+    let start = Instant::now();
+    keys.sync(store);
+    let classes = reconcilable_classes(store);
+    // The live reference a known id resolves to, if any.
+    let live_ref = |o: ObjectId| -> Option<(ObjectId, ClassId, RefKind)> {
+        store.object_raw(o)?;
+        let live = store.resolve(o);
+        let class = store.class_of(live);
+        let &(_, kind) = classes.iter().find(|&&(c, _)| c == class)?;
+        Some((live, class, kind))
+    };
+
+    // The new references and their candidate pairs, as live ids.
+    let mut new_refs: Vec<_> = new_objects.iter().filter_map(|&o| live_ref(o)).collect();
+    new_refs.sort_unstable_by_key(|&(o, _, _)| o);
+    new_refs.dedup_by_key(|&mut (o, _, _)| o);
+    let attrs = CachedAttrs::of(store);
+    let entries: Vec<RefEntry> = new_refs
+        .iter()
+        .map(|&(o, class, kind)| RefEntry::of_object(store, &attrs, o, class, kind))
+        .collect();
+    let obj_pairs = keys.pairs_touching(store, &entries);
+
+    let mut endpoints: Vec<ObjectId> = obj_pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+    endpoints.sort_unstable();
+    endpoints.dedup();
+    let constraint_refs = cfg
+        .must_link
+        .iter()
+        .chain(&cfg.cannot_link)
+        .flat_map(|&(a, b)| [a, b])
+        .filter_map(|o| live_ref(o).map(|(live, _, _)| live));
+    let mut attributed: Vec<ObjectId> = endpoints.iter().copied().chain(constraint_refs).collect();
+    attributed.sort_unstable();
+    attributed.dedup();
+    let table = RefTable::local(store, &attributed, &endpoints, cfg.max_fanout);
+
+    let mut pairs: Vec<(u32, u32)> = obj_pairs
+        .iter()
+        .map(|(a, b)| (table.index_of[a], table.index_of[b]))
+        .collect();
+    pairs.sort_unstable();
+    let counts = classes.iter().map(|&(c, _)| store.class_count(c));
+    let stats = BlockingStats {
+        refs: counts.clone().sum(),
+        pairs: pairs.len(),
+        exhaustive_pairs: counts.map(|n| n * n.saturating_sub(1) / 2).sum(),
+    };
+    run(store, variant, cfg, start, table, pairs, stats)
+}
+
+/// Reconcile the blocked candidate `pairs` of `table` and apply the
+/// merges; `start` is when blocking began.
 fn run(
     store: &mut Store,
     variant: Variant,
     cfg: &ReconConfig,
-    only_touching: Option<&[semex_store::ObjectId]>,
+    start: Instant,
+    table: RefTable,
+    pairs: Vec<(u32, u32)>,
+    blocking_stats: BlockingStats,
 ) -> ReconReport {
-    let start = Instant::now();
-    let table = RefTable::build(store, cfg.max_fanout);
-    let mut pairs = blocking::candidate_pairs(&table);
-    if let Some(new_objects) = only_touching {
-        let new_refs: std::collections::HashSet<u32> = new_objects
-            .iter()
-            .filter_map(|o| {
-                store.object_raw(*o)?;
-                table.index_of.get(&store.resolve(*o)).copied()
-            })
-            .collect();
-        pairs.retain(|(a, b)| new_refs.contains(a) || new_refs.contains(b));
-    }
-    let blocking_stats = BlockingStats::compute(&table, &pairs);
     let n = table.len();
 
     // User feedback: resolve must-link and cannot-link pairs to reference
     // indices. Constraints naming non-reconcilable or unknown objects are
     // ignored.
-    let ref_index = |o: semex_store::ObjectId| -> Option<u32> {
+    let ref_index = |o: ObjectId| -> Option<u32> {
         store.object_raw(o)?; // unknown ids are ignored, not fatal
         table.index_of.get(&store.resolve(o)).copied()
     };
@@ -207,7 +276,7 @@ fn run(
 
     ReconReport {
         variant,
-        refs: table.len(),
+        refs: blocking_stats.refs,
         candidates: pairs.len(),
         blocking: blocking_stats,
         merges,

@@ -60,6 +60,12 @@
 //! candidate pairs is the parallel phase: it runs on
 //! [`ReconConfig::threads`] workers, and any thread count produces
 //! byte-identical clusters and merges.
+//!
+//! Incremental runs ([`reconcile_incremental_with`]) block the new
+//! references against a persistent [`BlockingIndex`] and reconcile over a
+//! local reference table of the candidates and their evidence neighbours,
+//! indexed in the global reference order, so they merge exactly as a run
+//! over the full table would, at a cost that follows the new references.
 
 pub mod blocking;
 mod config;
@@ -71,8 +77,11 @@ pub mod score;
 mod union_find;
 mod worklist;
 
+pub use blocking::BlockingIndex;
 pub use config::{ReconConfig, Variant};
-pub use engine::{reconcile, reconcile_incremental, ReconPhases, ReconReport};
+pub use engine::{
+    reconcile, reconcile_incremental, reconcile_incremental_with, ReconPhases, ReconReport,
+};
 pub use eval::{pair_metrics, Metrics};
 pub use refs::{RefEntry, RefKind, RefTable};
 pub use union_find::UnionFind;

@@ -37,7 +37,7 @@
 //! triples and sources on demand from the offset tables;
 //! [`Store::from_binary`] drives it to materialize a heap store.
 
-use crate::{Object, ObjectId, SourceId, SourceInfo, SourceKind, Store, Triple};
+use crate::{Object, ObjectId, SourceId, SourceInfo, SourceKind, Store, StoreEvent, Triple};
 use semex_model::{AssocId, AttrId, ClassId, DomainModel, Value};
 use std::fmt;
 
@@ -732,6 +732,221 @@ fn kind_from_tag(tag: u8) -> Result<SourceKind, BinaryError> {
     })
 }
 
+// -------------------------------------------------------- event records --
+
+/// First byte of a binary journal record holding one [`StoreEvent`]. JSON
+/// records — the journal's original encoding, still read — start with `{`,
+/// and the journal's commit marker with `!`.
+const EVENT_RECORD: u8 = 0xE1;
+
+const EV_REGISTER_SOURCE: u8 = 0;
+const EV_ADD_OBJECT: u8 = 1;
+const EV_ADD_ATTR: u8 = 2;
+const EV_ADD_SOURCE: u8 = 3;
+const EV_ADD_TRIPLE: u8 = 4;
+const EV_MERGE: u8 = 5;
+const EV_SYNC_MODEL: u8 = 6;
+
+fn write_str(s: &str, out: &mut Vec<u8>) {
+    write_varint(s.len() as u64, out);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn read_str(c: &mut Cursor<'_>) -> Result<String, BinaryError> {
+    let n = c.index()?;
+    let bytes = c.bytes(n)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| BinaryError::Malformed {
+        section: "event",
+        detail: "string is not UTF-8",
+    })
+}
+
+fn read_u16(c: &mut Cursor<'_>) -> Result<u16, BinaryError> {
+    u16::try_from(c.varint()?).map_err(|_| BinaryError::Malformed {
+        section: "event",
+        detail: "id out of range",
+    })
+}
+
+fn read_u32(c: &mut Cursor<'_>) -> Result<u32, BinaryError> {
+    u32::try_from(c.varint()?).map_err(|_| BinaryError::Malformed {
+        section: "event",
+        detail: "id out of range",
+    })
+}
+
+impl StoreEvent {
+    /// The event as one compact journal record: a marker byte, a variant
+    /// tag, then varint ids and length-prefixed strings (a model travels as
+    /// its JSON). Fails only when a model cannot be serialized.
+    pub fn to_record(&self) -> Result<Vec<u8>, serde_json::Error> {
+        let mut out = vec![EVENT_RECORD];
+        match self {
+            StoreEvent::RegisterSource { info } => {
+                out.push(EV_REGISTER_SOURCE);
+                write_str(&info.name, &mut out);
+                out.push(kind_tag(info.kind));
+                match &info.location {
+                    Some(location) => {
+                        out.push(1);
+                        write_str(location, &mut out);
+                    }
+                    None => out.push(0),
+                }
+            }
+            StoreEvent::AddObject { class } => {
+                out.push(EV_ADD_OBJECT);
+                write_varint(u64::from(class.0), &mut out);
+            }
+            StoreEvent::AddAttr {
+                object,
+                attr,
+                value,
+            } => {
+                out.push(EV_ADD_ATTR);
+                write_varint(object.0, &mut out);
+                write_varint(u64::from(attr.0), &mut out);
+                match value {
+                    Value::Str(text) => {
+                        out.push(VAL_STR);
+                        write_str(text, &mut out);
+                    }
+                    Value::Int(i) => {
+                        out.push(VAL_INT);
+                        write_varint(zigzag(*i), &mut out);
+                    }
+                    Value::Float(x) => {
+                        out.push(VAL_FLOAT);
+                        out.extend_from_slice(&x.to_le_bytes());
+                    }
+                    Value::Date(d) => {
+                        out.push(VAL_DATE);
+                        write_varint(zigzag(*d), &mut out);
+                    }
+                    Value::Bool(b) => {
+                        out.push(VAL_BOOL);
+                        out.push(u8::from(*b));
+                    }
+                }
+            }
+            StoreEvent::AddSource { object, source } => {
+                out.push(EV_ADD_SOURCE);
+                write_varint(object.0, &mut out);
+                write_varint(u64::from(source.0), &mut out);
+            }
+            StoreEvent::AddTriple {
+                subject,
+                assoc,
+                object,
+                source,
+            } => {
+                out.push(EV_ADD_TRIPLE);
+                write_varint(subject.0, &mut out);
+                write_varint(u64::from(assoc.0), &mut out);
+                write_varint(object.0, &mut out);
+                write_varint(u64::from(source.0), &mut out);
+            }
+            StoreEvent::Merge { winner, loser } => {
+                out.push(EV_MERGE);
+                write_varint(winner.0, &mut out);
+                write_varint(loser.0, &mut out);
+            }
+            StoreEvent::SyncModel { model } => {
+                out.push(EV_SYNC_MODEL);
+                let json = serde_json::to_vec(model)?;
+                write_varint(json.len() as u64, &mut out);
+                out.extend_from_slice(&json);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Decode a journal record: one written by [`StoreEvent::to_record`],
+    /// or a JSON event as journals wrote them before. Hostile bytes give a
+    /// typed error, never a panic.
+    pub fn from_record(bytes: &[u8]) -> Result<StoreEvent, BinaryError> {
+        let malformed = |detail| BinaryError::Malformed {
+            section: "event",
+            detail,
+        };
+        match bytes.first() {
+            Some(b'{') => {
+                return serde_json::from_slice(bytes).map_err(|_| malformed("malformed JSON event"))
+            }
+            Some(&EVENT_RECORD) => {}
+            _ => return Err(malformed("not an event record")),
+        }
+        let mut c = Cursor::new(&bytes[1..], "event");
+        let event = match c.u8()? {
+            EV_REGISTER_SOURCE => {
+                let name = read_str(&mut c)?;
+                let kind = kind_from_tag(c.u8()?)?;
+                let location = match c.u8()? {
+                    0 => None,
+                    1 => Some(read_str(&mut c)?),
+                    _ => return Err(malformed("bad location flag")),
+                };
+                StoreEvent::RegisterSource {
+                    info: SourceInfo {
+                        name,
+                        kind,
+                        location,
+                    },
+                }
+            }
+            EV_ADD_OBJECT => StoreEvent::AddObject {
+                class: ClassId(read_u16(&mut c)?),
+            },
+            EV_ADD_ATTR => {
+                let object = ObjectId(c.varint()?);
+                let attr = AttrId(read_u16(&mut c)?);
+                let value = match c.u8()? {
+                    VAL_STR => Value::Str(read_str(&mut c)?),
+                    VAL_INT => Value::Int(unzigzag(c.varint()?)),
+                    VAL_FLOAT => Value::Float(c.f64()?),
+                    VAL_DATE => Value::Date(unzigzag(c.varint()?)),
+                    VAL_BOOL => match c.u8()? {
+                        0 => Value::Bool(false),
+                        1 => Value::Bool(true),
+                        _ => return Err(malformed("bad bool")),
+                    },
+                    _ => return Err(malformed("unknown value tag")),
+                };
+                StoreEvent::AddAttr {
+                    object,
+                    attr,
+                    value,
+                }
+            }
+            EV_ADD_SOURCE => StoreEvent::AddSource {
+                object: ObjectId(c.varint()?),
+                source: SourceId(read_u32(&mut c)?),
+            },
+            EV_ADD_TRIPLE => StoreEvent::AddTriple {
+                subject: ObjectId(c.varint()?),
+                assoc: AssocId(read_u16(&mut c)?),
+                object: ObjectId(c.varint()?),
+                source: SourceId(read_u32(&mut c)?),
+            },
+            EV_MERGE => StoreEvent::Merge {
+                winner: ObjectId(c.varint()?),
+                loser: ObjectId(c.varint()?),
+            },
+            EV_SYNC_MODEL => {
+                let n = c.index()?;
+                let model = serde_json::from_slice(c.bytes(n)?)
+                    .map_err(|_| malformed("malformed model JSON"))?;
+                StoreEvent::SyncModel { model }
+            }
+            _ => return Err(malformed("unknown event tag")),
+        };
+        if !c.at_end() {
+            return Err(malformed("trailing bytes after event"));
+        }
+        Ok(event)
+    }
+}
+
 // ----------------------------------------------------------- the writer --
 
 impl Store {
@@ -748,7 +963,7 @@ impl Store {
         // Objects: per-object records behind a fixed-width offset table.
         let mut obj_records: Vec<u8> = Vec::new();
         let mut obj_offsets: Vec<u32> = Vec::with_capacity(objects.len());
-        for o in objects {
+        for o in objects.iter() {
             obj_offsets.push(u32::try_from(obj_records.len()).expect("objects over 4 GiB"));
             write_varint(u64::from(o.class.0), &mut obj_records);
             write_varint(o.merged_into.map_or(0, |m| m.0 + 1), &mut obj_records);
@@ -785,7 +1000,7 @@ impl Store {
         // Sources: offset table + name/kind/location.
         let mut src_records: Vec<u8> = Vec::new();
         let mut src_offsets: Vec<u32> = Vec::with_capacity(sources.len());
-        for s in sources {
+        for s in sources.iter() {
             src_offsets.push(u32::try_from(src_records.len()).expect("sources over 4 GiB"));
             write_varint(arena.intern(&s.name), &mut src_records);
             src_records.push(kind_tag(s.kind));

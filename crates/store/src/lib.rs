@@ -49,6 +49,7 @@
 //! ```
 
 pub mod binary;
+mod chunked;
 mod events;
 mod object;
 mod provenance;

@@ -1,5 +1,6 @@
 //! The association database proper.
 
+use crate::chunked::Chunked;
 use crate::{Object, ObjectId, SourceId, SourceInfo, StoreEvent, Triple};
 use semex_model::{AssocId, AttrId, ClassId, DomainModel, Value};
 use std::collections::HashMap;
@@ -48,15 +49,20 @@ impl std::error::Error for StoreError {}
 
 /// The association database: objects + association triples + adjacency
 /// indexes, bound to a [`DomainModel`].
+///
+/// Objects and sources are shared copy-on-write, in chunks: cloning a
+/// store (which every published snapshot does) shares both tables with the
+/// original, and a mutation copies only the chunk it touches, and only
+/// while a clone still shares it.
 #[derive(Debug, Clone)]
 pub struct Store {
     model: DomainModel,
-    objects: Vec<Object>,
+    objects: Chunked<Object>,
     by_class: Vec<Vec<ObjectId>>,
     triples: Vec<Triple>,
     forward: Vec<HashMap<ObjectId, Vec<ObjectId>>>,
     inverse: Vec<HashMap<ObjectId, Vec<ObjectId>>>,
-    sources: Vec<SourceInfo>,
+    sources: Chunked<SourceInfo>,
     live_objects: usize,
     /// Mutation-event buffer; `Some` while recording is enabled (see
     /// [`Store::enable_events`]). Never snapshotted.
@@ -70,12 +76,12 @@ impl Store {
         let assocs = model.assoc_count();
         Store {
             model,
-            objects: Vec::new(),
+            objects: Chunked::default(),
             by_class: vec![Vec::new(); classes],
             triples: Vec::new(),
             forward: vec![HashMap::new(); assocs],
             inverse: vec![HashMap::new(); assocs],
-            sources: Vec::new(),
+            sources: Chunked::default(),
             live_objects: 0,
             recorder: None,
         }
@@ -187,6 +193,12 @@ impl Store {
         self.objects.get(id.index())
     }
 
+    /// The slot behind an id (no alias resolution), for mutation: its
+    /// chunk is copied first when a clone of the store still shares it.
+    fn object_mut(&mut self, id: ObjectId) -> &mut Object {
+        self.objects.get_mut(id.index())
+    }
+
     /// Class of an object.
     pub fn class_of(&self, id: ObjectId) -> ClassId {
         self.object(id).class
@@ -212,7 +224,7 @@ impl Store {
             None
         };
         let live = self.resolve(id);
-        let added = self.objects[live.index()].add_attr(attr, value);
+        let added = self.object_mut(live).add_attr(attr, value);
         if added {
             if let Some(value) = recorded {
                 self.record(StoreEvent::AddAttr {
@@ -228,7 +240,7 @@ impl Store {
     /// Record a provenance source on an object.
     pub fn add_source_to(&mut self, id: ObjectId, source: SourceId) {
         let live = self.resolve(id);
-        if self.objects[live.index()].add_source(source) {
+        if self.object_mut(live).add_source(source) {
             self.record(StoreEvent::AddSource { object: id, source });
         }
     }
@@ -426,13 +438,15 @@ impl Store {
         }
 
         // Pool attributes and sources.
-        let attrs = std::mem::take(&mut self.objects[loser.index()].attrs);
-        let sources = std::mem::take(&mut self.objects[loser.index()].sources);
+        let lost = self.object_mut(loser);
+        let attrs = std::mem::take(&mut lost.attrs);
+        let sources = std::mem::take(&mut lost.sources);
+        let won = self.object_mut(winner);
         for (a, v) in attrs {
-            self.objects[winner.index()].add_attr(a, v);
+            won.add_attr(a, v);
         }
         for s in sources {
-            self.objects[winner.index()].add_source(s);
+            won.add_source(s);
         }
 
         // Re-point adjacency, association type by association type.
@@ -469,7 +483,7 @@ impl Store {
             }
         }
 
-        self.objects[loser.index()].merged_into = Some(winner);
+        self.object_mut(loser).merged_into = Some(winner);
         self.live_objects -= 1;
         self.record(StoreEvent::Merge { winner, loser });
         Ok(())
@@ -505,15 +519,16 @@ impl Store {
     /// compaction shrinks snapshots accordingly.
     pub fn compacted(&self) -> (Store, HashMap<ObjectId, ObjectId>) {
         let mut new_store = Store::new(self.model.clone());
-        for info in &self.sources {
+        for info in self.sources.iter() {
             new_store.register_source(info.clone());
         }
         let mut mapping: HashMap<ObjectId, ObjectId> = HashMap::new();
         for old_id in self.objects() {
             let obj = self.object(old_id);
             let new_id = new_store.add_object(obj.class);
-            new_store.objects[new_id.index()].attrs = obj.attrs.clone();
-            new_store.objects[new_id.index()].sources = obj.sources.clone();
+            let copy = new_store.object_mut(new_id);
+            copy.attrs = obj.attrs.clone();
+            copy.sources = obj.sources.clone();
             mapping.insert(old_id, new_id);
         }
         for t in &self.triples {
@@ -559,7 +574,14 @@ impl Store {
     }
 
     /// Internal accessors for snapshotting.
-    pub(crate) fn parts(&self) -> (&DomainModel, &[Object], &[Triple], &[SourceInfo]) {
+    pub(crate) fn parts(
+        &self,
+    ) -> (
+        &DomainModel,
+        &Chunked<Object>,
+        &[Triple],
+        &Chunked<SourceInfo>,
+    ) {
         (&self.model, &self.objects, &self.triples, &self.sources)
     }
 
@@ -572,12 +594,12 @@ impl Store {
     ) -> Self {
         let mut s = Store {
             model,
-            objects,
+            objects: objects.into_iter().collect(),
             by_class: Vec::new(),
             triples,
             forward: Vec::new(),
             inverse: Vec::new(),
-            sources,
+            sources: sources.into_iter().collect(),
             live_objects: 0,
             recorder: None,
         };
@@ -616,6 +638,28 @@ mod tests {
         st.add_attr(p, name, Value::from("A. Smith")).unwrap();
         assert_eq!(st.label(p), "Ann B. Smith", "initials never win");
         assert_eq!(st.class_count(person), 1);
+    }
+
+    #[test]
+    fn clones_keep_their_objects_while_the_original_writes() {
+        let (mut st, person, _, _, name, src) = setup();
+        let ann = st.add_object(person);
+        let smith = st.add_object(person);
+        st.add_attr(ann, name, Value::from("Ann")).unwrap();
+        st.add_attr(smith, name, Value::from("A. Smith")).unwrap();
+        let snapshot = st.clone();
+
+        st.add_attr(ann, name, Value::from("Ann Smith")).unwrap();
+        st.add_source_to(smith, src);
+        st.merge(ann, smith).unwrap();
+        let later = st.add_object(person);
+        // The original moved on; the clone still sees the old state.
+        assert_eq!(st.object(ann).strs(name).count(), 3);
+        assert_eq!(snapshot.object(ann).strs(name).collect::<Vec<_>>(), ["Ann"]);
+        assert_eq!(snapshot.resolve(smith), smith);
+        assert!(snapshot.object(smith).sources.is_empty());
+        assert!(snapshot.object_raw(later).is_none());
+        assert_eq!(snapshot.class_count(person), 2);
     }
 
     #[test]

@@ -84,10 +84,18 @@ impl SnapshotEngine {
     /// epoch — legal only when the state did not change (zero events means
     /// zero store mutations), so readers still never see two states under
     /// one epoch.
+    ///
+    /// The replaced snapshot is dropped after the write lock is released:
+    /// when no reader holds it, dropping it frees a whole store and index,
+    /// and readers' [`SnapshotEngine::load`] calls must not wait on that.
     pub fn publish_advance(&self, snap: Snapshot, by: u64) -> u64 {
-        let mut current = self.current.write().expect("snapshot lock poisoned");
-        let epoch = current.epoch + by;
-        *current = Arc::new(EpochSnapshot { epoch, snap });
+        let (epoch, replaced) = {
+            let mut current = self.current.write().expect("snapshot lock poisoned");
+            let epoch = current.epoch + by;
+            let next = Arc::new(EpochSnapshot { epoch, snap });
+            (epoch, std::mem::replace(&mut *current, next))
+        };
+        drop(replaced);
         epoch
     }
 }
@@ -123,5 +131,30 @@ mod tests {
         assert_eq!(engine.epoch(), 41);
         assert_eq!(engine.publish_advance(semex.snapshot(), 9), 50);
         assert_eq!(engine.publish_advance(semex.snapshot(), 0), 50);
+    }
+
+    #[test]
+    fn publish_frees_the_replaced_snapshot_unless_a_reader_holds_it() {
+        let semex = SemexBuilder::new()
+            .add_mbox("inbox", "From: a@b.c\nSubject: first\n\nhello")
+            .build()
+            .unwrap();
+        let engine = SnapshotEngine::new(semex.snapshot());
+
+        // No reader: publishing frees epoch 0.
+        let unheld = Arc::downgrade(&engine.load());
+        engine.publish(semex.snapshot());
+        assert!(unheld.upgrade().is_none(), "epoch 0 outlived its publish");
+
+        // A reader holds epoch 1: it stays alive until the reader drops it.
+        let held = engine.load();
+        let watch = Arc::downgrade(&held);
+        engine.publish(semex.snapshot());
+        assert_eq!(watch.upgrade().map(|s| s.epoch), Some(1));
+        drop(held);
+        assert!(
+            watch.upgrade().is_none(),
+            "epoch 1 outlived its last reader"
+        );
     }
 }

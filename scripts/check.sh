@@ -29,10 +29,13 @@ cargo test -q -p semex-store --test binary_fuzz_prop
 cargo test -q -p semex-index --test sidecar_fuzz_prop
 
 echo "==> reconciliation exactness (worklist unit tests, the person-kernel memo"
-echo "    proptest vs person_score, any-thread-count equivalence proptest, and the"
-echo "    golden Full runs on tiny corpora and at paper scale)"
+echo "    proptest vs person_score, any-thread-count equivalence proptest, the"
+echo "    golden Full runs on tiny corpora and at paper scale, the golden"
+echo "    incremental write sequences, and the blocking-key index proptest)"
 cargo test -q -p semex-recon
 cargo test -q --test recon_golden
+cargo test -q --test recon_incremental_golden
+cargo test -q --test blocking_index_prop
 
 echo "==> index equivalence suite (parallel/incremental/pruned vs oracle)"
 cargo test -q -p semex-index --test index_equiv_prop
