@@ -98,6 +98,18 @@ fn paper_corpus() -> CorpusConfig {
     CorpusConfig::default() // 120 people, 260 publications, 1400 messages
 }
 
+/// Where an experiment writes its record: a full run replaces the
+/// committed `BENCH_*.json` in the working directory; a CI-scale smoke run
+/// writes under `target/bench-smoke/`, so it never dirties the tree.
+fn record_path(file: &str, smoke: bool) -> std::path::PathBuf {
+    if !smoke {
+        return file.into();
+    }
+    let dir = std::path::Path::new("target").join("bench-smoke");
+    std::fs::create_dir_all(&dir).ok();
+    dir.join(file)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let run_all = args.is_empty() || args.iter().any(|a| a == "all");
@@ -1910,11 +1922,13 @@ fn e14_tenants(smoke: bool) {
         },
     });
     let record = serde_json::to_string_pretty(&bench).expect("bench record serializes");
-    if let Err(e) = std::fs::write("BENCH_tenants.json", record) {
-        eprintln!("could not write BENCH_tenants.json: {e}\n");
+    let path = record_path("BENCH_tenants.json", smoke);
+    if let Err(e) = std::fs::write(&path, record) {
+        eprintln!("could not write {}: {e}\n", path.display());
     } else {
         println!(
-            "wrote BENCH_tenants.json ({tenants} tenants, {} evictions, {ratio:.2}x isolation)\n",
+            "wrote {} ({tenants} tenants, {} evictions, {ratio:.2}x isolation)\n",
+            path.display(),
             report.tenants.evictions
         );
     }
@@ -1994,7 +2008,8 @@ fn e15_snapshot(smoke: bool) {
                 .into_durable(&dir, journal.clone())
                 .expect("seed journal dir");
 
-            // On-disk footprint: snapshot plus (for binary) the sidecar.
+            // On-disk footprint: snapshot plus the index sidecar (both
+            // formats write one).
             let disk_bytes: u64 = std::fs::read_dir(&dir)
                 .expect("journal dir")
                 .filter_map(|e| e.ok())
@@ -2089,11 +2104,13 @@ fn e15_snapshot(smoke: bool) {
         "scales": records,
     });
     let record = serde_json::to_string_pretty(&bench).expect("bench record serializes");
-    if let Err(e) = std::fs::write("BENCH_snapshot.json", record) {
-        eprintln!("could not write BENCH_snapshot.json: {e}\n");
+    let path = record_path("BENCH_snapshot.json", smoke);
+    if let Err(e) = std::fs::write(&path, record) {
+        eprintln!("could not write {}: {e}\n", path.display());
     } else {
         println!(
-            "wrote BENCH_snapshot.json ({mode}, {} rows)\n",
+            "wrote {} ({mode}, {} rows)\n",
+            path.display(),
             scales.len() * 2
         );
     }
@@ -2446,11 +2463,13 @@ fn e16_cache(smoke: bool) {
         },
     });
     let record = serde_json::to_string_pretty(&bench).expect("bench record serializes");
-    if let Err(e) = std::fs::write("BENCH_cache.json", record) {
-        eprintln!("could not write BENCH_cache.json: {e}\n");
+    let path = record_path("BENCH_cache.json", smoke);
+    if let Err(e) = std::fs::write(&path, record) {
+        eprintln!("could not write {}: {e}\n", path.display());
     } else {
         println!(
-            "wrote BENCH_cache.json ({mode}, {:.1}% hits, {speedup:.1}x p50)\n",
+            "wrote {} ({mode}, {:.1}% hits, {speedup:.1}x p50)\n",
+            path.display(),
             hit_rate * 100.0
         );
     }
@@ -2772,12 +2791,14 @@ fn e17_replica(smoke: bool) {
         "throughput_scaling_at_max": scaling,
     });
     let record = serde_json::to_string_pretty(&verdicts).expect("bench record serializes");
-    if let Err(e) = std::fs::write("BENCH_replica.json", record) {
-        eprintln!("could not write BENCH_replica.json: {e}\n");
+    let path = record_path("BENCH_replica.json", smoke);
+    if let Err(e) = std::fs::write(&path, record) {
+        eprintln!("could not write {}: {e}\n", path.display());
     } else {
         println!(
-            "wrote BENCH_replica.json ({mode}, {max_followers} follower(s), \
-             {scaling:.2}x at max scale)\n"
+            "wrote {} ({mode}, {max_followers} follower(s), \
+             {scaling:.2}x at max scale)\n",
+            path.display()
         );
     }
 
@@ -3113,10 +3134,14 @@ fn e18_query(smoke: bool) {
         },
     });
     let record = serde_json::to_string_pretty(&bench).expect("bench record serializes");
-    if let Err(e) = std::fs::write("BENCH_query.json", record) {
-        eprintln!("could not write BENCH_query.json: {e}\n");
+    let path = record_path("BENCH_query.json", smoke);
+    if let Err(e) = std::fs::write(&path, record) {
+        eprintln!("could not write {}: {e}\n", path.display());
     } else {
-        println!("wrote BENCH_query.json ({mode}, {uplift:.1}x cached uplift)\n");
+        println!(
+            "wrote {} ({mode}, {uplift:.1}x cached uplift)\n",
+            path.display()
+        );
     }
 }
 

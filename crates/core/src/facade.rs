@@ -6,8 +6,7 @@ use semex_extract::csv::{parse_csv, Table};
 use semex_index::SearchIndex;
 use semex_integrate::{import, ImportReport, SchemaMatcher};
 use semex_journal::{
-    CompactionReport, DurableStore, Journal, JournalConfig, JournalError, JournalIo,
-    RecoveryReport, SnapshotFormat,
+    CompactionReport, DurableStore, Journal, JournalConfig, JournalError, JournalIo, RecoveryReport,
 };
 use semex_recon::BlockingIndex;
 use semex_store::{ObjectId, SnapshotError, Store, StoreEvent, StoreStats};
@@ -576,8 +575,9 @@ impl Semex {
 
     /// Open a durable platform backed by a write-ahead journal directory:
     /// recover the store from snapshot + journal replay (initializing the
-    /// directory on first use) and rebuild the keyword index. See
-    /// [`DurableSemex`].
+    /// directory on first use) and restore the keyword index from the
+    /// epoch's sidecar, rebuilding it only when the sidecar is missing or
+    /// unusable. See [`DurableSemex`].
     pub fn open_durable(
         dir: impl AsRef<std::path::Path>,
         config: SemexConfig,
@@ -632,7 +632,9 @@ impl Semex {
     }
 
     /// Try to restore the keyword index from the epoch's binary sidecar
-    /// instead of rebuilding it from the store. The sidecar is *advisory*:
+    /// instead of rebuilding it from the store, whatever format the
+    /// snapshot is in: the sidecar is stamped with a journal position, not
+    /// a snapshot encoding. The sidecar is *advisory*:
     /// it is used only when intact (CRC-verified) and stamped inside the
     /// recovered journal position — at `(epoch, seq)` with `seq` on the
     /// replayed prefix — and the journal tail past its seq is folded in
@@ -644,10 +646,6 @@ impl Semex {
         journal: &Journal,
         report: &RecoveryReport,
     ) -> Option<(SearchIndex, bool)> {
-        if journal.config().snapshot_format != SnapshotFormat::Binary {
-            // The JSON gate keeps the original full-rebuild path.
-            return None;
-        }
         let bytes = journal.read_index_sidecar().ok()??;
         let sidecar = SearchIndex::from_sidecar(&bytes).ok()?;
         if sidecar.epoch != report.epoch || sidecar.seq < report.base_seq {
@@ -865,9 +863,8 @@ impl DurableSemex {
     }
 
     /// Commit, then fold the whole journal into a new snapshot and delete
-    /// the old epoch's files. Under the binary snapshot format the keyword
-    /// index is also persisted as the new epoch's sidecar, so the next
-    /// open skips the rebuild.
+    /// the old epoch's files. The keyword index is also persisted as the
+    /// new epoch's sidecar, so the next open skips the rebuild.
     pub fn compact(&mut self) -> Result<CompactionReport, JournalError> {
         self.commit()?;
         let report = self.journal.compact(&self.semex.store)?;
@@ -875,14 +872,11 @@ impl DurableSemex {
         Ok(report)
     }
 
-    /// Persist the current keyword index as the epoch's binary sidecar.
-    /// Best-effort and binary-format only: the sidecar is advisory (any
-    /// damage just costs the next open a rebuild), so failures are
+    /// Persist the current keyword index as the epoch's binary sidecar,
+    /// under either snapshot format. Best-effort: the sidecar is advisory
+    /// (any damage just costs the next open a rebuild), so failures are
     /// swallowed rather than failing the commit path that triggered it.
     fn refresh_index_sidecar(&self) {
-        if self.journal.config().snapshot_format != SnapshotFormat::Binary {
-            return;
-        }
         // Stamp the position the index actually reflects. The index has
         // folded every journaled event in (callers flush first), so that
         // is the journal's next sequence number.

@@ -219,9 +219,10 @@ fn export_inner(
 /// primary's snapshot state. Refuses a directory that already holds a
 /// journal — bootstrap never overwrites local durable state.
 ///
-/// The image is written as a JSON-format snapshot regardless of how the
-/// primary stores its own (the wire carries the store as JSON); the
-/// follower migrates to its configured format at its next compaction.
+/// The image is written as a binary snapshot, the format every space is
+/// opened from by default, whatever encoding carried it over the wire. A
+/// follower configured for JSON still reads it, and rewrites its
+/// snapshot in JSON at its next compaction.
 pub fn install_snapshot(dir: &Path, base_seq: u64, store: &Store) -> Result<(), JournalError> {
     let io = RealIo;
     io.create_dir_all(dir)
@@ -238,7 +239,7 @@ pub fn install_snapshot(dir: &Path, base_seq: u64, store: &Store) -> Result<(), 
     }
     // Epoch 1 distinguishes a shipped image from a locally-initialized
     // epoch-0 journal; recovery simply picks the newest epoch.
-    write_snapshot(&io, dir, 1, base_seq, store, true, SnapshotFormat::Json)
+    write_snapshot(&io, dir, 1, base_seq, store, true, SnapshotFormat::Binary)
 }
 
 /// Name of the per-follower ack-cursor file inside a primary's journal

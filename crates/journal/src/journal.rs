@@ -161,9 +161,12 @@ pub struct JournalConfig {
     /// Base delay of the exponential backoff between retries (doubled per
     /// attempt). Zero disables sleeping, which tests use.
     pub retry_backoff: Duration,
-    /// On-disk format new snapshots are written in. Both formats are
-    /// always *read*; a space migrates to the configured format at its
-    /// next compaction.
+    /// On-disk format new snapshots are written in: binary by default.
+    /// Both formats are always *read*, and a space migrates to the
+    /// configured format at its next compaction — so a JSON space opened
+    /// with the default config turns binary when it is next compacted.
+    /// Setting [`SnapshotFormat::Json`] explicitly is kept for migration
+    /// and dual-format equivalence tests.
     pub snapshot_format: SnapshotFormat,
 }
 
@@ -174,7 +177,7 @@ impl Default for JournalConfig {
             fsync: true,
             max_retries: 3,
             retry_backoff: Duration::from_millis(1),
-            snapshot_format: SnapshotFormat::Json,
+            snapshot_format: SnapshotFormat::Binary,
         }
     }
 }
@@ -679,13 +682,18 @@ impl Journal {
     /// The sidecar is advisory — any damage makes the opener fall back to
     /// rebuilding the index from the store — so callers usually treat
     /// failures as warnings, not fatal.
+    ///
+    /// It is written without fsync whatever the config says: a crash can
+    /// only lose it or leave it torn, which its CRCs and `(epoch, seq)`
+    /// stamp turn into a rebuild, and the two syncs would otherwise sit on
+    /// every open that folds a journal tail.
     pub fn write_index_sidecar(&self, bytes: &[u8]) -> Result<(), JournalError> {
         write_file_atomic(
             self.io.as_ref(),
             &self.dir,
             &index_file_name(self.epoch),
             bytes,
-            self.config.fsync,
+            false,
         )
     }
 

@@ -5,7 +5,9 @@
 //!
 //! ```text
 //! space/
-//!   snapshot-0000000003.json      epoch-3 snapshot (meta line + store JSON)
+//!   snapshot-0000000003.bin       epoch-3 snapshot (journal header + binary
+//!                                 store image; `.json`: meta line + store JSON)
+//!   index-0000000003.idx          epoch-3 search-index sidecar (advisory)
 //!   wal-0000000003-0000000000.log epoch-3 segments, in index order
 //!   wal-0000000003-0000000001.log
 //! ```
@@ -91,11 +93,13 @@ pub fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SnapshotFormat {
     /// Line-oriented JSON: a meta line, then the store's JSON snapshot.
-    /// The original format, kept alive behind this gate.
-    #[default]
+    /// The original format: still read, and written only when a config
+    /// asks for it explicitly.
     Json,
     /// Versioned little-endian binary image (`semex_store::binary`) behind
     /// a fixed journal header; opened lazily and CRC-verified per section.
+    /// The default.
+    #[default]
     Binary,
 }
 
@@ -130,8 +134,9 @@ pub fn parse_snapshot_name(name: &str) -> Option<(u64, SnapshotFormat)> {
     Some((epoch.parse().ok()?, format))
 }
 
-/// File name of the `epoch` search-index sidecar (written next to binary
-/// snapshots so a durable open can skip the index rebuild).
+/// File name of the `epoch` search-index sidecar (written next to the
+/// epoch's snapshot, in either format, so a durable open can skip the
+/// index rebuild).
 pub fn index_file_name(epoch: u64) -> String {
     format!("index-{epoch:010}.idx")
 }

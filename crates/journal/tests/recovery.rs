@@ -316,18 +316,14 @@ fn compaction_folds_journal_and_state_survives() {
     assert_eq!(report.epoch, 1);
     assert!(report.removed_files >= 2, "old snapshot + segment removed");
     assert_eq!(durable.journal().epoch(), 1);
-    // Old-epoch files are gone; the new snapshot exists.
+    // Old-epoch files are gone; the new snapshot exists, in the
+    // configured format.
+    let format = config().snapshot_format;
     assert!(!dir
-        .join(semex_journal::segment::snapshot_file_name(
-            0,
-            semex_journal::SnapshotFormat::Json
-        ))
+        .join(semex_journal::segment::snapshot_file_name(0, format))
         .exists());
     assert!(dir
-        .join(semex_journal::segment::snapshot_file_name(
-            1,
-            semex_journal::SnapshotFormat::Json
-        ))
+        .join(semex_journal::segment::snapshot_file_name(1, format))
         .exists());
 
     // Keep writing after compaction.

@@ -5,7 +5,7 @@ use crate::{
     AssocDef, AssocId, AttrDef, AttrId, ClassDef, ClassId, DerivedDef, PathExpr, PathStep,
     ValueKind,
 };
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -39,7 +39,12 @@ impl std::error::Error for ModelError {}
 /// A model starts from [`DomainModel::builtin`] (the SEMEX vocabulary) or
 /// [`DomainModel::empty`] and grows monotonically: elements are added, never
 /// removed, so ids handed out remain valid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The serialized form is the four definition lists in id order. The name
+/// maps are derived from them, so they are left out and rebuilt on decode;
+/// older encodings that still carry the maps decode the same way (the
+/// extra fields are ignored).
+#[derive(Debug, Clone)]
 pub struct DomainModel {
     classes: Vec<ClassDef>,
     attrs: Vec<AttrDef>,
@@ -49,6 +54,47 @@ pub struct DomainModel {
     attr_by_name: HashMap<String, AttrId>,
     assoc_by_name: HashMap<String, AssocId>,
     derived_by_name: HashMap<String, usize>,
+}
+
+impl Serialize for DomainModel {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![
+            ("classes".to_owned(), self.classes.to_content()),
+            ("attrs".to_owned(), self.attrs.to_content()),
+            ("assocs".to_owned(), self.assocs.to_content()),
+            ("deriveds".to_owned(), self.deriveds.to_content()),
+        ])
+    }
+}
+
+impl Deserialize for DomainModel {
+    fn from_content(content: &Content) -> Result<Self, serde::Error> {
+        let map = content
+            .as_map()
+            .ok_or_else(|| serde::Error::expected("map for struct DomainModel", content))?;
+        let classes: Vec<ClassDef> = Deserialize::from_content(serde::field(map, "classes")?)?;
+        let attrs: Vec<AttrDef> = Deserialize::from_content(serde::field(map, "attrs")?)?;
+        let assocs: Vec<AssocDef> = Deserialize::from_content(serde::field(map, "assocs")?)?;
+        let deriveds: Vec<DerivedDef> = Deserialize::from_content(serde::field(map, "deriveds")?)?;
+        fn by_name<T>(
+            names: impl Iterator<Item = String>,
+            id: impl Fn(usize) -> T,
+        ) -> HashMap<String, T> {
+            names.enumerate().map(|(i, n)| (n, id(i))).collect()
+        }
+        Ok(DomainModel {
+            class_by_name: by_name(classes.iter().map(|d| d.name.clone()), |i| {
+                ClassId(i as u16)
+            }),
+            attr_by_name: by_name(attrs.iter().map(|d| d.name.clone()), |i| AttrId(i as u16)),
+            assoc_by_name: by_name(assocs.iter().map(|d| d.name.clone()), |i| AssocId(i as u16)),
+            derived_by_name: by_name(deriveds.iter().map(|d| d.name.clone()), |i| i),
+            classes,
+            attrs,
+            assocs,
+            deriveds,
+        })
+    }
 }
 
 impl Default for DomainModel {

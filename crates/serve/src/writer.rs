@@ -443,10 +443,15 @@ fn service_batch(
     // state under a fresh epoch. Replicated events are journaled outside
     // the commit's count, so they advance the epoch separately — keeping
     // a follower's epoch identical to the primary's at the same state.
-    let epoch = match &committed {
-        Ok(n) => engine.publish_advance(master.snapshot(), *n as u64 + replicated),
-        Err(_) => engine.publish_advance(master.snapshot(), 1),
+    //
+    // The replaced epoch is held until the acks are out: when no reader
+    // holds it, dropping it frees a whole store and index, and no client
+    // should wait on that.
+    let by = match &committed {
+        Ok(n) => *n as u64 + replicated,
+        Err(_) => 1,
     };
+    let (epoch, replaced) = engine.publish_replacing(master.snapshot(), by);
     for (reply, outcome) in outcomes {
         let response = match (&committed, outcome) {
             (Ok(_), Ok(applied)) => match &tap_err {
@@ -479,4 +484,5 @@ fn service_batch(
         };
         let _ = reply.send(response);
     }
+    drop(replaced);
 }

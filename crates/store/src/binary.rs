@@ -40,6 +40,7 @@
 use crate::{Object, ObjectId, SourceId, SourceInfo, SourceKind, Store, StoreEvent, Triple};
 use semex_model::{AssocId, AttrId, ClassId, DomainModel, Value};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Magic bytes opening a binary store image.
 pub const MAGIC: &[u8; 8] = b"SEMEXSNP";
@@ -947,6 +948,18 @@ impl StoreEvent {
     }
 }
 
+/// The builtin domain model with its serialized blob, built once per
+/// process: [`SnapshotReader::read_model`] compares a MODEL section against
+/// the blob and clones the model on a match.
+fn builtin_model() -> &'static (Vec<u8>, DomainModel) {
+    static BUILTIN: OnceLock<(Vec<u8>, DomainModel)> = OnceLock::new();
+    BUILTIN.get_or_init(|| {
+        let model = DomainModel::builtin();
+        let bytes = serde_json::to_vec(&model).expect("the builtin model serializes");
+        (bytes, model)
+    })
+}
+
 // ----------------------------------------------------------- the writer --
 
 impl Store {
@@ -1125,8 +1138,14 @@ impl<'a> SnapshotReader<'a> {
     }
 
     /// Parse the domain model blob (the one materializing accessor — the
-    /// model is stored as an opaque serde_json section).
+    /// model is stored as an opaque serde_json section). A blob that is
+    /// byte-for-byte the builtin model's — every space that never extended
+    /// its model — is a clone of a cached model instead of a parse.
     pub fn read_model(&self) -> Result<DomainModel, BinaryError> {
+        let (builtin_bytes, builtin) = builtin_model();
+        if self.model_bytes == builtin_bytes.as_slice() {
+            return Ok(builtin.clone());
+        }
         serde_json::from_slice(self.model_bytes).map_err(|_| BinaryError::Malformed {
             section: "model",
             detail: "model blob does not parse",
@@ -1499,6 +1518,96 @@ mod tests {
                 expected: BINARY_VERSION
             })
         ));
+    }
+
+    /// A model's encoding from before the name maps were left out: the
+    /// definition lists plus one `name → id` map per kind.
+    fn with_name_maps(model: &DomainModel) -> Vec<u8> {
+        use serde::{Content, Serialize};
+        let Content::Map(mut fields) = model.to_content() else {
+            panic!("a model serializes as a map");
+        };
+        let keys = [
+            ("classes", "class_by_name"),
+            ("attrs", "attr_by_name"),
+            ("assocs", "assoc_by_name"),
+            ("deriveds", "derived_by_name"),
+        ];
+        for (list, map) in keys {
+            let defs = serde::field(&fields, list).unwrap().as_seq().unwrap();
+            let names = defs
+                .iter()
+                .enumerate()
+                .map(|(i, def)| {
+                    let name = serde::field(def.as_map().unwrap(), "name").unwrap();
+                    (name.as_str().unwrap().to_owned(), Content::U64(i as u64))
+                })
+                .collect();
+            fields.push((map.to_owned(), Content::Map(names)));
+        }
+        serde_json::to_vec(&Content::Map(fields)).unwrap()
+    }
+
+    #[test]
+    fn model_blobs_with_and_without_name_maps_decode_alike() {
+        let mut extended = DomainModel::builtin();
+        extended
+            .add_class(semex_model::ClassDef::new("Recipe"))
+            .unwrap();
+        for model in [DomainModel::builtin(), extended] {
+            let lean = serde_json::to_vec(&model).unwrap();
+            let legacy = with_name_maps(&model);
+            assert!(
+                legacy.len() > lean.len(),
+                "the legacy blob carries the maps"
+            );
+            for blob in [&lean, &legacy] {
+                let decoded: DomainModel = serde_json::from_slice(blob).unwrap();
+                assert_eq!(serde_json::to_vec(&decoded).unwrap(), lean);
+                for (id, def) in model.classes() {
+                    assert_eq!(decoded.class(&def.name), Some(id));
+                }
+                for (id, def) in model.attrs() {
+                    assert_eq!(decoded.attr(&def.name), Some(id));
+                }
+                for (id, def) in model.assocs() {
+                    assert_eq!(decoded.assoc(&def.name), Some(id));
+                }
+                for def in model.deriveds() {
+                    assert_eq!(decoded.derived(&def.name).map(|d| &d.name), Some(&def.name));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn builtin_and_extended_models_round_trip_through_images() {
+        // The builtin blob is stable, so a builtin-model image takes the
+        // cached clone...
+        let st = sample_store();
+        let image = st.to_binary().unwrap();
+        let reader = SnapshotReader::open(&image).unwrap();
+        assert_eq!(reader.model_bytes, builtin_model().0.as_slice());
+        assert_eq!(
+            serde_json::to_vec(&reader.read_model().unwrap()).unwrap(),
+            builtin_model().0
+        );
+
+        // ...and an extended model is parsed.
+        let mut st = sample_store();
+        let recipe = st
+            .model_mut()
+            .add_class(semex_model::ClassDef::new("Recipe"))
+            .unwrap();
+        let image = st.to_binary().unwrap();
+        let reader = SnapshotReader::open(&image).unwrap();
+        assert_ne!(reader.model_bytes, builtin_model().0.as_slice());
+        let back = Store::from_binary(&image).unwrap();
+        assert_eq!(back.model().class("Recipe"), Some(recipe));
+        assert_eq!(
+            serde_json::to_vec(back.model()).unwrap(),
+            serde_json::to_vec(st.model()).unwrap()
+        );
     }
 
     #[test]

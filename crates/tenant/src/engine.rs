@@ -89,14 +89,21 @@ impl SnapshotEngine {
     /// when no reader holds it, dropping it frees a whole store and index,
     /// and readers' [`SnapshotEngine::load`] calls must not wait on that.
     pub fn publish_advance(&self, snap: Snapshot, by: u64) -> u64 {
-        let (epoch, replaced) = {
-            let mut current = self.current.write().expect("snapshot lock poisoned");
-            let epoch = current.epoch + by;
-            let next = Arc::new(EpochSnapshot { epoch, snap });
-            (epoch, std::mem::replace(&mut *current, next))
-        };
+        let (epoch, replaced) = self.publish_replacing(snap, by);
         drop(replaced);
         epoch
+    }
+
+    /// [`SnapshotEngine::publish_advance`], but the replaced snapshot is
+    /// handed back instead of dropped, so the caller chooses when the
+    /// (possibly last) reference goes. The servicing writer holds it until
+    /// its acks are sent: freeing a whole store and index is not on any
+    /// client's critical path.
+    pub fn publish_replacing(&self, snap: Snapshot, by: u64) -> (u64, Arc<EpochSnapshot>) {
+        let mut current = self.current.write().expect("snapshot lock poisoned");
+        let epoch = current.epoch + by;
+        let next = Arc::new(EpochSnapshot { epoch, snap });
+        (epoch, std::mem::replace(&mut *current, next))
     }
 }
 
@@ -156,5 +163,15 @@ mod tests {
             watch.upgrade().is_none(),
             "epoch 1 outlived its last reader"
         );
+
+        // `publish_replacing` hands the replaced epoch to the caller: it
+        // lives exactly as long as the caller holds it.
+        let watch = Arc::downgrade(&engine.load());
+        let (epoch, replaced) = engine.publish_replacing(semex.snapshot(), 1);
+        assert_eq!((epoch, replaced.epoch), (3, 2));
+        assert_eq!(engine.load().epoch, 3);
+        assert!(watch.upgrade().is_some(), "the caller still holds epoch 2");
+        drop(replaced);
+        assert!(watch.upgrade().is_none(), "epoch 2 outlived its caller");
     }
 }

@@ -56,14 +56,14 @@ echo "    answers under random writes/reads/evictions, byte-identical frames,"
 echo "    and the 8-reader miss herd collapsing to one evaluation)"
 cargo test -q -p semex-serve --test cache_equiv_prop
 
-echo "==> e14 smoke (multi-tenant serving at CI scale -> BENCH_tenants.json)"
+echo "==> e14 smoke (multi-tenant serving at CI scale -> target/bench-smoke/BENCH_tenants.json)"
 cargo run --release -q -p semex-bench --bin experiments -- e14-smoke
 
-echo "==> e15 smoke (binary vs JSON cold opens at CI scale -> BENCH_snapshot.json)"
+echo "==> e15 smoke (binary vs JSON cold opens at CI scale -> target/bench-smoke/BENCH_snapshot.json)"
 cargo run --release -q -p semex-bench --bin experiments -- e15-smoke
 
 echo "==> e16 smoke (read-cache hit rate, latency, and coalescing at CI scale"
-echo "    -> BENCH_cache.json)"
+echo "    -> target/bench-smoke/BENCH_cache.json)"
 cargo run --release -q -p semex-bench --bin experiments -- e16-smoke
 
 echo "==> cluster fault sweep (primary crashed at every journal I/O op and every"
@@ -73,7 +73,7 @@ cargo test -q -p semex-replica --test cluster_sweep -- --nocapture
 cargo test -q -p semex-replica --test replica_e2e
 
 echo "==> e17 smoke (1 primary + 1 follower over sockets: catch-up, byte-identical"
-echo "    replica reads, synchronous write-ack cost -> BENCH_replica.json)"
+echo "    replica reads, synchronous write-ack cost -> target/bench-smoke/BENCH_replica.json)"
 cargo run --release -q -p semex-bench --bin experiments -- e17-smoke
 
 echo "==> query equivalence suite (path engine vs brute-force reference at every"
@@ -85,8 +85,13 @@ cargo test -q -p semex-serve --test path_query
 cargo test -q -p semex-serve --test protocol_prop
 
 echo "==> e18 smoke (path-query latency vs size/hops, thread scaling, and the"
-echo "    over-the-wire cache uplift at CI scale -> BENCH_query.json)"
+echo "    over-the-wire cache uplift at CI scale -> target/bench-smoke/BENCH_query.json)"
 cargo run --release -q -p semex-bench --bin experiments -- e18-smoke
+
+echo "==> benchmark build (perfbench is a package of its own over the library"
+echo "    crates: a library API change that breaks it fails here) and its helper tests"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo doc (no deps, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

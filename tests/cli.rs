@@ -123,6 +123,10 @@ fn cli_durable_session() {
     ]);
     assert!(ok, "{out}");
     assert!(out.contains("journal initialized"), "{out}");
+    assert!(
+        out.contains("Binary snapshot"),
+        "spaces are written binary: {out}"
+    );
     assert!(dir.is_dir());
     assert!(
         std::fs::read_dir(&dir)
@@ -171,4 +175,66 @@ fn cli_errors_cleanly() {
     let (ok, out) = run(&["build", "/nope"]);
     assert!(!ok);
     assert!(out.contains("-o"), "{out}");
+
+    // There is one snapshot format to write, so no `--format` flag.
+    let out_path = std::env::temp_dir().join(format!("semex-cli-noflag-{}", std::process::id()));
+    let out_str = out_path.to_string_lossy().into_owned();
+    let (ok, out) = run(&["demo", "--format", "json", "-o", &out_str]);
+    assert!(!ok);
+    assert!(out.contains("unknown demo flag"), "{out}");
+    let (ok, out) = run(&["journal-compact", &out_str, "--format", "json"]);
+    assert!(!ok);
+    assert!(out.contains("requires a journal directory"), "{out}");
+    assert!(!out_path.exists());
+}
+
+/// Names of the snapshot and index-sidecar files in a journal directory.
+fn epoch_files(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("snapshot-") || n.starts_with("index-"))
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn cli_compact_migrates_a_json_space() {
+    use semex::journal::{DurableStore, JournalConfig, SnapshotFormat};
+    let dir = std::env::temp_dir().join(format!("semex-cli-json-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let dir_str = dir.to_string_lossy().into_owned();
+
+    // A JSON-format space: a JSON snapshot and no index sidecar.
+    let semex = semex::SemexBuilder::new()
+        .add_mbox(
+            "inbox",
+            "From: Xin Dong <luna@cs.example.edu>\nTo: Alon Halevy <alon@cs.example.edu>\nSubject: semex demo\n\nSee you Friday.\n",
+        )
+        .build()
+        .unwrap();
+    let json = JournalConfig {
+        snapshot_format: SnapshotFormat::Json,
+        ..JournalConfig::default()
+    };
+    drop(DurableStore::open_with(&dir, json, semex.store().clone()).unwrap());
+    assert_eq!(epoch_files(&dir), vec!["snapshot-0000000000.json"]);
+    let (ok, before) = run(&["search", &dir_str, "semex demo"]);
+    assert!(ok, "{before}");
+
+    let (ok, out) = run(&["journal-compact", &dir_str]);
+    assert!(ok, "{out}");
+    assert!(out.contains("compacted into epoch 1"), "{out}");
+    assert!(out.contains("Binary snapshot"), "{out}");
+    assert_eq!(
+        epoch_files(&dir),
+        vec!["index-0000000001.idx", "snapshot-0000000001.bin"]
+    );
+    let (ok, after) = run(&["search", &dir_str, "semex demo"]);
+    assert!(ok, "{after}");
+    assert_eq!(before, after, "the migrated space answers identically");
+
+    std::fs::remove_dir_all(&dir).ok();
 }

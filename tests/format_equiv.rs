@@ -77,15 +77,39 @@ fn assert_equiv(a: &Semex, b: &Semex, at: &str) {
     );
 }
 
-fn sidecar_files(dir: &Path) -> Vec<String> {
+/// Sorted names of the files in a journal directory that start with
+/// `prefix` and end with `suffix`.
+fn files(dir: &Path, prefix: &str, suffix: &str) -> Vec<String> {
     let mut v: Vec<String> = std::fs::read_dir(dir)
         .unwrap()
         .filter_map(|e| e.ok())
         .filter_map(|e| e.file_name().to_str().map(str::to_owned))
-        .filter(|n| n.starts_with("index-") && n.ends_with(".idx"))
+        .filter(|n| n.starts_with(prefix) && n.ends_with(suffix))
         .collect();
     v.sort();
     v
+}
+
+fn sidecar_files(dir: &Path) -> Vec<String> {
+    files(dir, "index-", ".idx")
+}
+
+fn snapshot_files(dir: &Path) -> Vec<String> {
+    files(dir, "snapshot-", "")
+}
+
+/// A copy of a journal directory without its index sidecars, so opening
+/// the copy rebuilds the keyword index from the store.
+fn copy_without_sidecars(dir: &Path) -> PathBuf {
+    let copy = scratch("no-sidecar");
+    std::fs::create_dir_all(&copy).unwrap();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let name = entry.unwrap().file_name();
+        if !name.to_string_lossy().ends_with(".idx") {
+            std::fs::copy(dir.join(&name), copy.join(&name)).unwrap();
+        }
+    }
+    copy
 }
 
 #[test]
@@ -104,20 +128,18 @@ fn binary_and_json_twins_stay_byte_identical() {
         .unwrap();
     assert_eq!(d_json.journal().epoch(), d_bin.journal().epoch());
     assert_equiv(&d_json, &d_bin, "after init");
-    assert_eq!(
-        sidecar_files(&bin_dir),
-        vec!["index-0000000000.idx".to_string()],
-        "binary init writes the index sidecar"
-    );
-    assert!(
-        sidecar_files(&json_dir).is_empty(),
-        "the JSON path has no sidecar"
-    );
+    for dir in [&json_dir, &bin_dir] {
+        assert_eq!(
+            sidecar_files(dir),
+            vec!["index-0000000000.idx".to_string()],
+            "init writes the index sidecar under either format"
+        );
+    }
     drop(d_json);
     drop(d_bin);
 
-    // Cold reopen: JSON recovers via the heap decode + index rebuild;
-    // binary maps the snapshot and restores the sidecar. Same answers.
+    // Cold reopen: JSON recovers via the heap decode, binary maps the
+    // snapshot; both restore the index sidecar. Same answers.
     let (mut d_json, r1) = Semex::open_durable_with(
         &json_dir,
         SemexConfig::default(),
@@ -147,8 +169,8 @@ fn binary_and_json_twins_stay_byte_identical() {
     drop(d_json);
     drop(d_bin);
 
-    // Reopen again: binary's sidecar is now *behind* the journal tail, so
-    // the restore must fold the replayed events in — still identical.
+    // Reopen again: the sidecars are now *behind* the journal tail, so the
+    // restores must fold the replayed events in — still identical.
     let (mut d_json, _) = Semex::open_durable_with(
         &json_dir,
         SemexConfig::default(),
@@ -204,15 +226,17 @@ fn sidecar_restore_equals_index_rebuild() {
         .unwrap();
     drop(d);
 
-    // Opening the same binary space with the JSON config still reads the
-    // binary snapshot but skips the sidecar, forcing a full index rebuild:
-    // the restored index must be indistinguishable from the rebuilt one.
+    // A copy of the space without its sidecar forces a full index
+    // rebuild: the restored index must be indistinguishable from it.
     let (restored, _) =
         Semex::open_durable_with(&dir, SemexConfig::default(), config(SnapshotFormat::Binary))
             .unwrap();
-    let (rebuilt, _) =
-        Semex::open_durable_with(&dir, SemexConfig::default(), config(SnapshotFormat::Json))
-            .unwrap();
+    let (rebuilt, _) = Semex::open_durable_with(
+        copy_without_sidecars(&dir),
+        SemexConfig::default(),
+        config(SnapshotFormat::Binary),
+    )
+    .unwrap();
     assert_equiv(&restored, &rebuilt, "sidecar restore vs rebuild");
     drop(rebuilt);
 
@@ -241,6 +265,86 @@ fn sidecar_restore_equals_index_rebuild() {
         Semex::open_durable_with(&dir, SemexConfig::default(), config(SnapshotFormat::Binary))
             .unwrap();
     assert_equiv(&restored, &corrupted, "corrupt sidecar falls back");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn default_config_writes_binary_and_restores_its_sidecar() {
+    let dir = scratch("default");
+    let d = built()
+        .into_durable(&dir, JournalConfig::default())
+        .unwrap();
+    assert_eq!(d.journal().config().snapshot_format, SnapshotFormat::Binary);
+    drop(d);
+    assert_eq!(
+        snapshot_files(&dir),
+        vec!["snapshot-0000000000.bin".to_string()]
+    );
+    assert_eq!(
+        sidecar_files(&dir),
+        vec!["index-0000000000.idx".to_string()]
+    );
+
+    // The default open restores the sidecar; a sidecar-less copy rebuilds
+    // the index from the store. Both answer every probe identically, and
+    // identically to the platform the space was built from.
+    let (restored, report) = Semex::open_durable(&dir, SemexConfig::default()).unwrap();
+    assert!(report.damage.is_none(), "{report:?}");
+    let (rebuilt, _) =
+        Semex::open_durable(copy_without_sidecars(&dir), SemexConfig::default()).unwrap();
+    assert_equiv(&restored, &rebuilt, "default open vs rebuild");
+    assert_equiv(&restored, &built(), "default open vs the build");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn json_space_gains_a_sidecar_on_its_first_default_open() {
+    use semex::journal::DurableStore;
+    let dir = scratch("json-legacy");
+    let semex = built();
+    // A JSON space as written before the binary default: the journal
+    // alone, with a JSON snapshot and no index sidecar.
+    let store = semex.store().clone();
+    let (durable, report) =
+        DurableStore::open_with(&dir, config(SnapshotFormat::Json), store).unwrap();
+    assert!(report.initialized);
+    drop(durable);
+    assert_eq!(
+        snapshot_files(&dir),
+        vec!["snapshot-0000000000.json".to_string()]
+    );
+    assert!(sidecar_files(&dir).is_empty());
+
+    // The first default-config open reads the JSON snapshot, rebuilds the
+    // index and stamps a sidecar for it; the snapshot stays JSON until the
+    // next compaction.
+    let (first, _) = Semex::open_durable(&dir, SemexConfig::default()).unwrap();
+    assert_equiv(&first, &semex, "first default open of a JSON space");
+    drop(first);
+    assert_eq!(
+        sidecar_files(&dir),
+        vec!["index-0000000000.idx".to_string()]
+    );
+    assert_eq!(
+        snapshot_files(&dir),
+        vec!["snapshot-0000000000.json".to_string()]
+    );
+
+    // The second open restores that sidecar and answers identically.
+    let (mut second, _) = Semex::open_durable(&dir, SemexConfig::default()).unwrap();
+    assert_equiv(&second, &semex, "sidecar-restored JSON space");
+
+    // Compaction migrates the space to a binary snapshot.
+    let c = second.compact().unwrap();
+    drop(second);
+    assert_eq!(
+        snapshot_files(&dir),
+        vec![format!("snapshot-{:010}.bin", c.epoch)]
+    );
+    let (migrated, _) = Semex::open_durable(&dir, SemexConfig::default()).unwrap();
+    assert_equiv(&migrated, &semex, "migrated space");
 
     std::fs::remove_dir_all(&dir).ok();
 }
